@@ -7,7 +7,7 @@ learns total-action policies with a linear Gaussian policy-gradient method
 or an approximate-Q baseline.
 """
 
-from .agg import AggSimulator, AggState, GroupFlow, agg_transition, aggregate, cap_merge, group_allocate
+from .agg import AggSimulator, AggState, BatchSimulator, GroupFlow, agg_transition, aggregate, cap_merge, group_allocate
 from .env import (
     ArrivalEvent,
     Category,
@@ -26,13 +26,13 @@ from .policy import (
     PolicyParams,
     TrainConfig,
     Trajectory,
-    TrajectoryStep,
     estimate_gradient,
     estimate_returns,
     log_prob_grad,
     normalize_returns,
     pg_update,
     project_action,
+    rollout_batch,
     sample_action,
     train,
 )

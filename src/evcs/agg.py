@@ -10,12 +10,15 @@ least-laxity-first dispatch induces.
 The count vector alone cannot predict departures (those depend on remaining
 demands inside each level), so `AggSimulator` keeps per-level demand lists as
 private bookkeeping.  Controllers only ever see the (price, counts) state.
+`BatchSimulator` steps many days at once on padded per-EV arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .env import EpisodeConfig, StationState, arrival_schedule
 from .llf import laxity
@@ -143,6 +146,26 @@ def cap_merge(state: AggState, cap: int) -> AggState:
     return AggState(state.price, merged)
 
 
+def _arrival_levels(
+    config: EpisodeConfig, max_laxity: int
+) -> dict[int, list[tuple[int, int, int]]]:
+    """Per arrival slot: (id, demand, laxity level) of each arriving EV, with
+    the ids of ``arrival_schedule``; a level outside [0, max_laxity] raises."""
+    out: dict[int, list[tuple[int, int, int]]] = {}
+    for t, items in arrival_schedule(config).items():
+        entries = []
+        for ev_id, event in items:
+            level = laxity(event.demand, event.parking)
+            if not 0 <= level <= max_laxity:
+                raise ValueError(
+                    f"arrival at t={t} has laxity {level} outside "
+                    f"[0, {max_laxity}]"
+                )
+            entries.append((ev_id, event.demand, level))
+        out[t] = entries
+    return out
+
+
 class AggSimulator:
     """Rollout engine for one day over laxity-group counts.
 
@@ -156,18 +179,7 @@ class AggSimulator:
     def __init__(self, config: EpisodeConfig, max_laxity: int):
         self.config = config
         self.max_laxity = max_laxity
-        self._arrivals: dict[int, list[tuple[int, int, int]]] = {}
-        for t, items in arrival_schedule(config).items():
-            entries = []
-            for ev_id, event in items:
-                level = laxity(event.demand, event.parking)
-                if not 0 <= level <= max_laxity:
-                    raise ValueError(
-                        f"arrival at t={t} has laxity {level} outside "
-                        f"[0, {max_laxity}]"
-                    )
-                entries.append((ev_id, event.demand, level))
-            self._arrivals[t] = entries
+        self._arrivals = _arrival_levels(config, max_laxity)
         self.reset()
 
     def reset(self) -> AggState:
@@ -256,6 +268,126 @@ class AggSimulator:
         self.last_flow = GroupFlow(charged_vec, arrived, tuple(departed))
         self._state = next_state
         return next_state, reward
+
+
+class BatchSimulator:
+    """Rollout engine for a batch of days of one horizon, stepped together.
+
+    Row b holds one day as per-EV arrays of shape (B, E), padded to the
+    longest arrival list: arrival slot, remaining demand and laxity, with
+    column j the EV that ``arrival_schedule`` gives id j.  An EV is parked
+    from its arrival slot until its demand reaches zero.  A step charges,
+    in each row, the ``action`` parked EVs of lowest (laxity, id), which is
+    the EV set `AggSimulator` charges, so every row's counts and rewards
+    match a B=1 rollout of its day.
+    """
+
+    def __init__(self, configs: Sequence[EpisodeConfig], max_laxity: int):
+        if not configs:
+            raise ValueError("need at least one day")
+        horizons = {config.horizon for config in configs}
+        if len(horizons) != 1:
+            raise ValueError(f"days of one batch must share a horizon, got {sorted(horizons)}")
+        self.horizon = horizons.pop()
+        self.max_laxity = max_laxity
+        width = max(len(config.arrivals) for config in configs)
+        shape = (len(configs), width)
+        # padding columns arrive after the horizon, so they are never parked
+        self._arrival0 = np.full(shape, self.horizon + 1, dtype=np.int64)
+        self._demand0 = np.zeros(shape, dtype=np.int64)
+        self._laxity0 = np.zeros(shape, dtype=np.int64)
+        for b, config in enumerate(configs):
+            for t, entries in _arrival_levels(config, max_laxity).items():
+                for ev_id, demand, level in entries:
+                    self._arrival0[b, ev_id] = t
+                    self._demand0[b, ev_id] = demand
+                    self._laxity0[b, ev_id] = level
+        self._prices = np.array([config.prices for config in configs], dtype=float)
+        self.reset()
+
+    def take(self, rows: Sequence[int]) -> "BatchSimulator":
+        """A reset simulator whose row i is this one's day ``rows[i]``."""
+        rows = np.asarray(rows, dtype=np.intp)
+        sub = object.__new__(BatchSimulator)
+        sub.horizon, sub.max_laxity = self.horizon, self.max_laxity
+        sub._arrival0 = self._arrival0[rows]
+        sub._demand0 = self._demand0[rows]
+        sub._laxity0 = self._laxity0[rows]
+        sub._prices = self._prices[rows]
+        sub.reset()
+        return sub
+
+    def reset(self) -> np.ndarray:
+        self._t = 0
+        self._demand = self._demand0.copy()
+        self._laxity = self._laxity0.copy()
+        self._tally()
+        return self.counts
+
+    def _tally(self) -> None:
+        self._parked = (self._arrival0 <= self._t) & (self._demand > 0)
+        rows, levels = self._laxity.shape[0], self.max_laxity + 1
+        slot = np.arange(rows)[:, None] * levels + self._laxity
+        self.counts = np.bincount(
+            slot[self._parked], minlength=rows * levels
+        ).reshape(rows, levels)
+
+    @property
+    def batch(self) -> int:
+        return self._prices.shape[0]
+
+    @property
+    def price(self) -> np.ndarray:
+        """Each row's price at the current slot."""
+        return self._prices[:, self._t]
+
+    @property
+    def urgent(self) -> np.ndarray:
+        """Per row: EVs that must be charged this slot (laxity 0)."""
+        return self.counts[:, 0]
+
+    @property
+    def chargeable(self) -> np.ndarray:
+        """Per row: EVs that can be charged this slot."""
+        return self.counts.sum(axis=1)
+
+    def step(self, total_action: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Charge ``total_action[b]`` EVs of row b, lowest laxity first.
+
+        Returns the next counts (B, max_laxity+1) and the rewards (B,).
+        """
+        if self._t >= self.horizon:
+            raise ValueError(
+                f"cannot step past the episode horizon (t={self._t}, "
+                f"horizon={self.horizon})"
+            )
+        action = np.asarray(total_action, dtype=np.int64)
+        if action.shape != (self.batch,):
+            raise ValueError(f"need one action per row ({self.batch}), got shape {action.shape}")
+        urgent, chargeable = self.urgent, self.chargeable
+        bad = np.flatnonzero((action < urgent) | (action > chargeable))
+        if bad.size:
+            b = bad[0]
+            raise ValueError(
+                f"row {b}, slot {self._t}: action {action[b]} outside "
+                f"[{urgent[b]}, {chargeable[b]}] (zero-laxity EVs left idle or "
+                f"more EVs charged than parked)"
+            )
+        width = self._laxity.shape[1]
+        # rank parked EVs by (laxity, id); column 0 holds -1 so that the
+        # sorted row's entry at position action is the last key charged
+        keys = np.full((self.batch, width + 1), -1, dtype=np.int64)
+        keys[:, 1:] = np.where(
+            self._parked, self._laxity * width + np.arange(width), (self.max_laxity + 1) * width
+        )
+        cut = np.sort(keys, axis=1)[np.arange(self.batch), action]
+        charged = self._parked & (keys[:, 1:] <= cut[:, None])
+        self._demand -= charged
+        self._laxity -= self._parked & ~charged
+        reward = -self._prices[:, self._t] * action
+        self._t += 1
+        self._tally()
+        return self.counts, reward
 
 
 def _agg_state_unchecked(price: float, counts: tuple[int, ...]) -> AggState:

@@ -227,6 +227,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         "alpha": args.alpha,
         "sigma": args.sigma,
         "iterations": args.iterations,
+        "batch": args.batch,
+        "sigma_decay": args.sigma_decay,
+        "step_decay": args.step_decay,
         "seed": args.seed,
         "lmax": level_cap,
         "max_laxity": max_laxity,
@@ -401,7 +404,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DivergenceError, FloatingPointError) as exc:
+    except DivergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

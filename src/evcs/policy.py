@@ -17,6 +17,13 @@ scale across the batch, so it weighs all days alike; each trajectory's own
 share of them leaves a bias that shrinks with the batch size.  A lone
 rollout of a day falls back to normalizing on its own reward-to-go, which is
 biased: its own mean and spread shrink the weight of late-day costs.
+
+Training rolls all rollouts of an iteration together on a `BatchSimulator`,
+through the engine behind `rollout_batch`; a trajectory holds per-slot
+arrays.  Each row keeps the arithmetic of the one-day rollout
+`run_policy_episode` (its own noise stream and its own dot product for the
+mean), so batching leaves trained models bit-identical.  Evaluation rolls one
+day at a time through `run_policy_episode`.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .agg import AggSimulator, AggState, cap_merge
+from .agg import AggSimulator, AggState, BatchSimulator, cap_merge
 from .env import EpisodeConfig
 
 
@@ -106,15 +113,19 @@ def log_prob_grad(
 
 
 def estimate_returns(rewards: Sequence[float], gamma: float) -> np.ndarray:
-    """Reward-to-go at every step: returns[t] = sum_{u>=t} gamma^(u-t) r_u."""
+    """Reward-to-go at every step: returns[t] = sum_{u>=t} gamma^(u-t) r_u.
+
+    The steps run along the last axis, so a (B, T) array gives each row's
+    reward-to-go with the same arithmetic as that row alone.
+    """
     r = np.asarray(rewards, dtype=float)
     if r.size == 0:
         raise ValueError("cannot estimate returns of an empty trajectory")
     out = np.empty_like(r)
     acc = 0.0
-    for t in range(r.size - 1, -1, -1):
-        acc = r[t] + gamma * acc
-        out[t] = acc
+    for t in range(r.shape[-1] - 1, -1, -1):
+        acc = r[..., t] + gamma * acc
+        out[..., t] = acc
     return out
 
 
@@ -167,27 +178,19 @@ def _normalize_by_day(
     return out
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
-    """One slot as the policy saw it: features, raw and applied action, reward."""
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """One rolled day as the policy saw it, one entry per slot: standardized
+    features (T, d), raw and applied action (T,), and reward (T,)."""
 
     features: np.ndarray
-    raw_action: float
-    applied_action: int
-    reward: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    steps: tuple[TrajectoryStep, ...]
-
-    @property
-    def rewards(self) -> np.ndarray:
-        return np.array([s.reward for s in self.steps], dtype=float)
+    raw: np.ndarray
+    applied: np.ndarray
+    rewards: np.ndarray
 
     @property
     def episode_reward(self) -> float:
-        return float(self.rewards.sum()) if self.steps else 0.0
+        return float(self.rewards.sum())
 
 
 def estimate_gradient(
@@ -218,7 +221,12 @@ def estimate_gradient(
             f"got {len(days)} day labels for {len(trajectories)} trajectories"
         )
 
-    per_traj_returns = [estimate_returns(traj.rewards, gamma) for traj in trajectories]
+    if len({traj.rewards.size for traj in trajectories}) == 1:
+        per_traj_returns = list(
+            estimate_returns(np.array([traj.rewards for traj in trajectories]), gamma)
+        )
+    else:
+        per_traj_returns = [estimate_returns(traj.rewards, gamma) for traj in trajectories]
     if normalization == "batch":
         pooled = np.concatenate(per_traj_returns)
         std = float(pooled.std())
@@ -234,11 +242,9 @@ def estimate_gradient(
 
     grad = np.zeros(params.dim + 1)
     for traj, q in zip(trajectories, per_traj_returns):
-        features = np.array([step.features for step in traj.steps])
-        raws = np.array([step.raw_action for step in traj.steps])
-        means = features @ params.weights + params.bias
-        weighted = q * (raws - means) / params.sigma**2
-        grad[:-1] += features.T @ weighted
+        means = traj.features @ params.weights + params.bias
+        weighted = q * (traj.raw - means) / params.sigma**2
+        grad[:-1] += traj.features.T @ weighted
         grad[-1] += weighted.sum()
     return grad / len(trajectories)
 
@@ -328,17 +334,119 @@ def run_policy_episode(
     """Roll one day under the policy; ``rng=None`` runs the deterministic mean."""
     sim = AggSimulator(config, max_laxity)
     state = sim.reset()
-    steps = []
-    for _ in range(config.horizon):
-        features = scaler.transform(raw_features(state, level_cap))
-        if rng is None:
-            raw = policy_mean(params, features)
+    horizon = config.horizon
+    features = np.empty((horizon, params.dim))
+    raw, rewards = np.empty(horizon), np.empty(horizon)
+    applied = np.empty(horizon, dtype=np.int64)
+    for t in range(horizon):
+        f = scaler.transform(raw_features(state, level_cap))
+        raw[t] = policy_mean(params, f) if rng is None else sample_action(params, f, rng)
+        features[t] = f
+        applied[t] = project_action(raw[t], sim.chargeable, sim.urgent)
+        state, rewards[t] = sim.step(applied[t])
+    return Trajectory(features, raw, applied, rewards)
+
+
+def rollout_batch(
+    configs: Sequence[EpisodeConfig],
+    params: PolicyParams,
+    scaler: FeatureScaler,
+    max_laxity: int,
+    level_cap: int | None = None,
+    rngs: Sequence[np.random.Generator] | None = None,
+) -> list[Trajectory]:
+    """Roll every day of ``configs`` at once, one `BatchSimulator` row each.
+
+    Trajectory i equals ``run_policy_episode(configs[i], ..., rng=rngs[i])``
+    exactly: row i draws its noise from ``rngs[i]`` and takes its mean as
+    ``weights @ f + bias`` on its own feature row.  Days of different
+    horizons roll as separate batches.  ``rngs=None`` runs every row at its
+    deterministic mean.
+    """
+    if rngs is not None and len(rngs) != len(configs):
+        raise ValueError(f"got {len(rngs)} generators for {len(configs)} days")
+    days = range(len(configs))
+    return _rollout_days(_pack_days(configs, max_laxity), days, params, scaler, level_cap, rngs)
+
+
+def _pack_days(
+    configs: Sequence[EpisodeConfig], max_laxity: int
+) -> list[tuple[BatchSimulator, list[int]]]:
+    """One simulator per horizon, over the indices of the days of that horizon."""
+    by_horizon: dict[int, list[int]] = {}
+    for i, config in enumerate(configs):
+        by_horizon.setdefault(config.horizon, []).append(i)
+    return [
+        (BatchSimulator([configs[i] for i in members], max_laxity), members)
+        for members in by_horizon.values()
+    ]
+
+
+def _rollout_days(
+    packed: list[tuple[BatchSimulator, list[int]]],
+    days: Sequence[int],
+    params: PolicyParams,
+    scaler: FeatureScaler,
+    level_cap: int | None,
+    rngs: Sequence[np.random.Generator] | None,
+) -> list[Trajectory]:
+    """Roll day ``days[i]`` of a `_pack_days` result as row i, with ``rngs[i]``."""
+    rolled: dict[int, Trajectory] = {}
+    for pool, members in packed:
+        local = {day: j for j, day in enumerate(members)}
+        rows = [i for i, day in enumerate(days) if day in local]
+        if rows:
+            sim = pool.take([local[days[i]] for i in rows])
+            group_rngs = None if rngs is None else [rngs[i] for i in rows]
+            rolled.update(zip(rows, _roll(sim, params, scaler, level_cap, group_rngs)))
+    return [rolled[i] for i in range(len(days))]
+
+
+def _roll(
+    sim: BatchSimulator,
+    params: PolicyParams,
+    scaler: FeatureScaler,
+    level_cap: int | None,
+    rngs: Sequence[np.random.Generator] | None,
+) -> list[Trajectory]:
+    """Drive every row of a reset simulator to its horizon."""
+    dim = feature_dim(sim.max_laxity, level_cap)
+    if level_cap is not None and level_cap < 1:
+        raise ValueError(f"cap must be >= 1, got {level_cap}")
+    if params.dim != dim or scaler.dim != dim:
+        raise ValueError(
+            f"policy dimension {params.dim} and scaler dimension {scaler.dim} "
+            f"do not match the feature dimension {dim}"
+        )
+    batch, horizon = sim.batch, sim.horizon
+    features = np.empty((batch, horizon, dim))
+    raw, rewards = np.empty((batch, horizon)), np.empty((batch, horizon))
+    applied = np.empty((batch, horizon), dtype=np.int64)
+    if rngs is not None:
+        # the same values as one scalar draw per slot
+        noise = params.sigma * np.array([rng.standard_normal(horizon) for rng in rngs])
+    pooled = level_cap is not None and level_cap < sim.max_laxity
+    row = np.empty((batch, dim))  # [price, counts...] as raw_features builds it
+    counts = sim.counts
+    for t in range(horizon):
+        row[:, 0] = sim.price
+        if pooled:
+            row[:, 1:-1] = counts[:, :level_cap]
+            row[:, -1] = counts[:, level_cap:].sum(axis=1)
         else:
-            raw = sample_action(params, features, rng)
-        action = project_action(raw, sim.chargeable, sim.urgent)
-        state, reward = sim.step(action)
-        steps.append(TrajectoryStep(features, raw, action, reward))
-    return Trajectory(tuple(steps))
+            row[:, 1:] = counts
+        f = scaler.transform(row)
+        features[:, t] = f
+        # one dot product per row, as policy_mean takes it: a matrix-vector
+        # product may round differently
+        mean = np.fromiter(map(params.weights.__matmul__, f), float, batch) + params.bias
+        raw[:, t] = mean if rngs is None else mean + noise[:, t]
+        rounded = np.floor(raw[:, t] + 0.5)
+        if not np.all(np.isfinite(rounded)):
+            raise ValueError(f"slot {t}: non-finite raw action")
+        applied[:, t] = np.minimum(np.maximum(rounded, sim.urgent), sim.chargeable)
+        counts, rewards[:, t] = sim.step(applied[:, t])
+    return [Trajectory(features[b], raw[b], applied[b], rewards[b]) for b in range(batch)]
 
 
 def fit_scaler(
@@ -411,9 +519,12 @@ def train(
 ) -> TrainResult:
     """Gradient-ascent policy search over the training days.
 
-    Each iteration rolls out a round-robin window of ``batch`` days with
-    per-trajectory RNG streams spawned from the seed, averages their
-    score-function gradients, and steps the parameters.  The day of each
+    The training days are packed into batch simulators once per call.  Each
+    iteration rolls a round-robin window of ``batch`` days as one batch (one
+    per horizon when days differ in length), with per-trajectory RNG streams
+    spawned from the seed; every rollout equals ``run_policy_episode`` under
+    its stream.  It averages their score-function gradients and steps the
+    parameters.  The day of each
     rollout goes to ``estimate_gradient``, so in "episode" normalization a
     batch that rolls a day more than once normalizes it on its peers (each
     day's contribution unbiased up to a positive factor of its own, so days
@@ -433,6 +544,7 @@ def train(
             f"{initial_params.dim}"
         )
 
+    packed = _pack_days(day_configs, max_laxity)
     seed_root = np.random.SeedSequence(config.seed)
     params = initial_params
     n_days = len(day_configs)
@@ -447,18 +559,8 @@ def train(
         day_idx = [
             (iteration * config.batch + j) % n_days for j in range(config.batch)
         ]
-        child_seeds = seed_root.spawn(len(day_idx))
-        trajectories = [
-            run_policy_episode(
-                day_configs[i],
-                params,
-                scaler,
-                max_laxity,
-                level_cap,
-                rng=np.random.default_rng(child),
-            )
-            for i, child in zip(day_idx, child_seeds)
-        ]
+        rngs = [np.random.default_rng(child) for child in seed_root.spawn(len(day_idx))]
+        trajectories = _rollout_days(packed, day_idx, params, scaler, level_cap, rngs)
         gradient = estimate_gradient(
             trajectories,
             params,
@@ -511,7 +613,7 @@ def evaluate_policy(
 ) -> tuple[float, tuple[int, ...]]:
     """Deterministic (mean-action) evaluation: total reward and per-slot actions."""
     traj = run_policy_episode(config, params, scaler, max_laxity, level_cap, rng=None)
-    return traj.episode_reward, tuple(s.applied_action for s in traj.steps)
+    return traj.episode_reward, tuple(traj.applied.tolist())
 
 
 # --- model files -----------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from evcs.agg import (
     AggSimulator,
     AggState,
+    BatchSimulator,
     agg_transition,
     aggregate,
     cap_merge,
@@ -183,6 +184,65 @@ def test_trajectory_equivalence_random(seed):
     rows = _paired_rollout(cfg, max(max_laxity, 1), seed)
     for _, env_reward, agg_reward in rows:
         assert env_reward == agg_reward
+
+
+def _padded_day(rng, horizon):
+    """A random_instance day stretched to ``horizon`` slots."""
+    cfg = random_instance(rng, max_evs=6, horizon=horizon)
+    return EpisodeConfig(horizon, cfg.prices + (1.0,) * (horizon - cfg.horizon), cfg.arrivals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_batch_simulator_rows_match_agg_simulator(seed):
+    """Each row of the batch engine, driven by its own random total actions,
+    publishes the counts and rewards of a B=1 AggSimulator run of its day;
+    ``take`` repeats and reorders rows."""
+    rng = np.random.default_rng(seed)
+    max_laxity = 7
+    days = [_padded_day(rng, 8) for _ in range(4)] + [EpisodeConfig(8, (2.0,) * 9)]
+    rows = [4, 0, 2, 0, 1, 3, 3]
+    batch = BatchSimulator(days, max_laxity).take(rows)
+    sims = [AggSimulator(days[r], max_laxity) for r in rows]
+    states = [sim.reset() for sim in sims]
+    counts = batch.counts
+    for _ in range(8):
+        assert [tuple(c) for c in counts.tolist()] == [s.counts for s in states]
+        assert batch.price.tolist() == [s.price for s in states]
+        action = [int(rng.integers(s.counts[0], s.total + 1)) for s in states]
+        counts, rewards = batch.step(action)
+        stepped = [sim.step(a) for sim, a in zip(sims, action)]
+        states = [state for state, _ in stepped]
+        assert rewards.tolist() == [reward for _, reward in stepped]
+    assert [tuple(c) for c in counts.tolist()] == [s.counts for s in states]
+
+
+def test_batch_simulator_raises_where_agg_simulator_does():
+    cfg = EpisodeConfig(3, (1.0, 2.0, 3.0, 4.0), (ArrivalEvent(0, 1, 1), ArrivalEvent(0, 1, 3)))
+    for bad_laxity in (0, 1):  # the second EV has laxity 2
+        with pytest.raises(ValueError, match="laxity"):
+            AggSimulator(cfg, bad_laxity)
+        with pytest.raises(ValueError, match="laxity"):
+            BatchSimulator([cfg], bad_laxity)
+    for action in (-1, 0, 3):  # urgent 1, chargeable 2
+        with pytest.raises(ValueError):
+            AggSimulator(cfg, 2).step(action)
+        with pytest.raises(ValueError):
+            BatchSimulator([cfg, cfg], 2).step([1, action])
+    batch, sim = BatchSimulator([cfg], 2), AggSimulator(cfg, 2)
+    for _ in range(3):
+        batch.step([batch.urgent[0]])
+        sim.step(sim.urgent)
+    with pytest.raises(ValueError, match="horizon"):
+        sim.step(0)
+    with pytest.raises(ValueError, match="horizon"):
+        batch.step([0])
+    with pytest.raises(ValueError):
+        BatchSimulator([], 2)
+    with pytest.raises(ValueError, match="horizon"):
+        BatchSimulator([cfg, EpisodeConfig(2, (1.0, 1.0, 1.0))], 2)
+    with pytest.raises(ValueError):
+        BatchSimulator([cfg], 2).step([1, 1])
 
 
 def test_dynamic_homogeneity_under_relabeling():

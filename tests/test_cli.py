@@ -108,6 +108,22 @@ def test_train_fixed_seed_reproduces_model_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_train_config_hash_covers_schedule_flags(tmp_path, capsys):
+    data_dir = _generate(tmp_path)
+    base = ["train", "--data", str(data_dir), "--algo", "pg", "--iterations", "2",
+            "--out", str(tmp_path / "m.json")]
+
+    def printed_hash(*extra):
+        assert main(base + list(extra)) == EXIT_OK
+        return capsys.readouterr().out.rsplit("(config ", 1)[1].rstrip(")\n")
+
+    plain = printed_hash()
+    assert printed_hash() == plain
+    assert printed_hash("--batch", "4") != plain
+    assert printed_hash("--step-decay", "0.9") != plain
+    assert printed_hash("--sigma-decay", "0.9") != plain
+
+
 def test_train_qe_and_eval_table(tmp_path, capsys):
     data_dir = _generate(tmp_path)
     model_path = tmp_path / "qe.json"

@@ -13,7 +13,6 @@ from evcs.policy import (
     PolicyParams,
     TrainConfig,
     Trajectory,
-    TrajectoryStep,
     destandardize,
     estimate_gradient,
     estimate_returns,
@@ -28,11 +27,13 @@ from evcs.policy import (
     pg_update,
     policy_mean,
     project_action,
+    rollout_batch,
     run_policy_episode,
     sample_action,
     save_model,
     train,
 )
+from oracles import random_instance
 
 
 def test_params_validation():
@@ -166,7 +167,9 @@ def test_normalize_returns():
 
 
 def _single_step_traj(features, raw, applied, reward):
-    return Trajectory((TrajectoryStep(np.asarray(features, float), raw, applied, reward),))
+    return Trajectory(
+        np.asarray([features], float), np.array([raw]), np.array([applied]), np.array([reward])
+    )
 
 
 def test_estimate_gradient_degenerate_and_batching():
@@ -174,10 +177,8 @@ def test_estimate_gradient_degenerate_and_batching():
     lone = _single_step_traj([1.0], 0.9, 1, -4.0)
     assert np.allclose(estimate_gradient([lone], params, 1.0), 0.0)
 
-    steps = tuple(
-        TrajectoryStep(np.array([float(i)]), 0.5 * i, i, -float(i)) for i in range(3)
-    )
-    traj = Trajectory(steps)
+    slots = np.arange(3)
+    traj = Trajectory(slots[:, None].astype(float), 0.5 * slots, slots, -slots.astype(float))
     one = estimate_gradient([traj], params, 1.0)
     two = estimate_gradient([traj, traj], params, 1.0)
     assert np.allclose(one, two)
@@ -223,14 +224,11 @@ def test_estimate_gradient_episode_peer_baseline_is_unbiased():
     normalizing on same-day peers keeps its direction."""
     rng = np.random.default_rng(11)
     params = PolicyParams(np.array([0.0]), 0.0, 1.0)
-    features = (np.array([2.0]), np.array([0.0]))
+    features = np.array([[2.0], [0.0]])
     n = 4000
     trajectories = [
-        Trajectory(tuple(
-            TrajectoryStep(f, raw, 0, -(3.0 + raw))
-            for f, raw in zip(features, rng.standard_normal(2))
-        ))
-        for _ in range(n)
+        Trajectory(features, raw, np.zeros(2, dtype=int), -(3.0 + raw))
+        for raw in (rng.standard_normal(2) for _ in range(n))
     ]
     days = [i % 4 for i in range(n)]
 
@@ -244,8 +242,8 @@ def test_estimate_gradient_episode_peer_baseline_is_unbiased():
     expected = np.zeros(2)
     for traj in trajectories:
         q = normalize_returns(estimate_returns(traj.rewards, 1.0))
-        feats = np.array([s.features for s in traj.steps])
-        raws = np.array([s.raw_action for s in traj.steps])
+        feats = traj.features
+        raws = traj.raw
         weighted = q * (raws - (feats @ params.weights + params.bias)) / params.sigma**2
         expected[:-1] += feats.T @ weighted
         expected[-1] += weighted.sum()
@@ -309,10 +307,100 @@ def test_rollout_respects_feasible_bounds():
     traj = run_policy_episode(cfg, params, scaler, 2, rng=np.random.default_rng(5))
     sim = AggSimulator(cfg, 2)
     state = sim.reset()
-    for step in traj.steps:
-        assert state.counts[0] <= step.applied_action <= state.total
-        state, reward = sim.step(step.applied_action)
-        assert reward == step.reward
+    for applied, step_reward in zip(traj.applied, traj.rewards):
+        assert state.counts[0] <= applied <= state.total
+        state, reward = sim.step(applied)
+        assert reward == step_reward
+
+
+def _assert_same_trajectory(got, want):
+    for field in ("features", "raw", "applied", "rewards"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.dtype == b.dtype, field
+        assert np.array_equal(a, b), field
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([None, 1, 2, 4, 9]))
+def test_rollout_batch_rows_equal_single_day_rollouts(seed, level_cap):
+    """One batch of random days with mixed horizons, an empty day and a
+    repeated day: each row equals the B=1 rollout of its day under the same
+    generator, sampled and at the mean.  level_cap spans below and above
+    max_laxity."""
+    rng = np.random.default_rng(seed)
+    max_laxity = 7  # random_instance parks at most 8 slots
+    days = [random_instance(rng, max_evs=6, horizon=8) for _ in range(4)]
+    days += [EpisodeConfig(5, (3.0, 1.0, 4.0, 1.0, 5.0, 9.0)), days[0], days[1]]
+    dim = feature_dim(max_laxity, level_cap)
+    scaler = fit_scaler(days, max_laxity, level_cap)
+    params = PolicyParams(rng.normal(size=dim), float(rng.normal()), float(rng.uniform(0.3, 3.0)))
+    children = np.random.SeedSequence(seed).spawn(len(days))
+
+    sampled = rollout_batch(
+        days, params, scaler, max_laxity, level_cap, [np.random.default_rng(c) for c in children]
+    )
+    mean = rollout_batch(days, params, scaler, max_laxity, level_cap)
+    for day, child, got, got_mean in zip(days, children, sampled, mean):
+        want = run_policy_episode(
+            day, params, scaler, max_laxity, level_cap, rng=np.random.default_rng(child)
+        )
+        _assert_same_trajectory(got, want)
+        _assert_same_trajectory(
+            got_mean, run_policy_episode(day, params, scaler, max_laxity, level_cap)
+        )
+
+
+def test_rollout_batch_validation():
+    cfg = _toy_day()
+    scaler = fit_scaler([cfg], max_laxity=2)
+    params = PolicyParams(np.zeros(4), 0.0, 1.0)
+    assert rollout_batch([], params, scaler, 2) == []
+    with pytest.raises(ValueError):
+        rollout_batch([cfg], params, scaler, 2, rngs=[])
+    with pytest.raises(ValueError):
+        rollout_batch([cfg], PolicyParams(np.zeros(3), 0.0, 1.0), scaler, 2)
+    with pytest.raises(ValueError):
+        rollout_batch([cfg], params, scaler, 1)  # the day's laxity 2 does not fit
+    with pytest.raises(ValueError):
+        rollout_batch([cfg], PolicyParams(np.zeros(2), 0.0, 1.0), scaler, 2, level_cap=0)
+
+
+def test_train_equals_per_rollout_reference_loop():
+    """train's batched rollouts change nothing: the per-rollout loop below,
+    run_policy_episode per rollout, then estimate_gradient with days and
+    pg_update, gives the same parameters, curve and trace bit for bit."""
+    rng = np.random.default_rng(8)
+    days = [random_instance(rng, max_evs=6, horizon=10) for _ in range(3)]
+    max_laxity, level_cap = 6, 2
+    scaler = fit_scaler(days, max_laxity, level_cap)
+    initial = PolicyParams(np.full(feature_dim(max_laxity, level_cap), 0.3), 0.5, 1.5)
+    config = TrainConfig(
+        step_size=0.05, iterations=6, batch=2 * len(days), seed=4,
+        sigma_decay=0.97, step_decay=0.9, convergence_window=10**9,
+    )
+    result = train(days, initial, config, max_laxity, level_cap, scaler=scaler)
+
+    seed_root = np.random.SeedSequence(config.seed)
+    params, step_size, curve, trace = initial, config.step_size, [], []
+    for iteration in range(config.iterations):
+        day_idx = [(iteration * config.batch + j) % len(days) for j in range(config.batch)]
+        trajectories = [
+            run_policy_episode(
+                days[i], params, scaler, max_laxity, level_cap, rng=np.random.default_rng(child)
+            )
+            for i, child in zip(day_idx, seed_root.spawn(len(day_idx)))
+        ]
+        gradient = estimate_gradient(trajectories, params, config.discount, days=day_idx)
+        params = pg_update(params, gradient, step_size)
+        step_size *= config.step_decay
+        params = PolicyParams(params.weights, params.bias, params.sigma * config.sigma_decay)
+        curve.append(float(np.mean([t.episode_reward for t in trajectories])))
+        trace.append(np.append(params.as_vector(), params.sigma))
+
+    assert np.array_equal(result.params.as_vector(), params.as_vector())
+    assert result.params.sigma == params.sigma
+    assert np.array_equal(result.curve, curve)
+    assert np.array_equal(result.param_trace, trace)
 
 
 def test_train_zero_step_size_keeps_params_flat():
