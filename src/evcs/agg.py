@@ -8,8 +8,9 @@ budget is split greedily from level 0 upward --- the same split the per-EV
 least-laxity-first dispatch induces.
 
 The count vector alone cannot predict departures (those depend on remaining
-demands inside each level), so `AggSimulator` keeps per-level demand lists as
-private bookkeeping.  Controllers only ever see the (price, counts) state.
+demands inside each level), so `AggSimulator` keeps the parked EVs as one
+list sorted by (laxity, id), the order least-laxity-first dispatch charges
+them in.  Controllers only ever see the (price, counts) state.
 `BatchSimulator` steps many days at once on padded per-EV arrays.
 """
 
@@ -46,15 +47,6 @@ class AggState:
         return len(self.counts) - 1
 
 
-@dataclass(frozen=True)
-class GroupFlow:
-    """Per-level flows over one transition: charged, arrived, departed."""
-
-    charged: tuple[int, ...]
-    arrived: tuple[int, ...]
-    departed: tuple[int, ...]
-
-
 def aggregate(state: StationState, max_laxity: int) -> AggState:
     """Collapse a station state to per-laxity-level counts."""
     counts = [0] * (max_laxity + 1)
@@ -89,34 +81,6 @@ def group_allocate(total: int, counts: Sequence[int]) -> tuple[int, ...]:
     return tuple(charged)
 
 
-def _shift_counts(
-    counts: Sequence[int],
-    charged: Sequence[int],
-    arrivals: Sequence[int],
-    departures: Sequence[int],
-) -> list[int]:
-    """Count bookkeeping shared by agg_transition and the simulator."""
-    top = len(counts) - 1
-    if len(arrivals) != len(counts) or len(departures) != len(counts):
-        raise ValueError(f"arrival/departure vectors must have length {len(counts)}")
-    if charged[0] < counts[0]:
-        raise ValueError(
-            f"budget {sum(charged)} leaves {counts[0] - charged[0]} zero-laxity "
-            f"EVs idle; their laxity would go negative"
-        )
-    new_counts = []
-    for level in range(top + 1):
-        dropped_in = (counts[level + 1] - charged[level + 1]) if level < top else 0
-        n = charged[level] + dropped_in + int(arrivals[level]) - int(departures[level])
-        if n < 0:
-            raise ValueError(
-                f"negative count at laxity {level}: inconsistent arrival/"
-                f"departure flows"
-            )
-        new_counts.append(n)
-    return new_counts
-
-
 def agg_transition(
     state: AggState,
     total: int,
@@ -131,8 +95,26 @@ def agg_transition(
     level-l departures.  Only defined on feasible flows: leaving a
     zero-laxity EV idle has no representation in the counts and raises.
     """
-    charged = group_allocate(total, state.counts)
-    new_counts = _shift_counts(state.counts, charged, arrivals, departures)
+    counts = state.counts
+    charged = group_allocate(total, counts)
+    top = len(counts) - 1
+    if len(arrivals) != len(counts) or len(departures) != len(counts):
+        raise ValueError(f"arrival/departure vectors must have length {len(counts)}")
+    if charged[0] < counts[0]:
+        raise ValueError(
+            f"budget {total} leaves {counts[0] - charged[0]} zero-laxity "
+            f"EVs idle; their laxity would go negative"
+        )
+    new_counts = []
+    for level in range(top + 1):
+        dropped_in = (counts[level + 1] - charged[level + 1]) if level < top else 0
+        n = charged[level] + dropped_in + int(arrivals[level]) - int(departures[level])
+        if n < 0:
+            raise ValueError(
+                f"negative count at laxity {level}: inconsistent arrival/"
+                f"departure flows"
+            )
+        new_counts.append(n)
     return AggState(next_price, tuple(new_counts))
 
 
@@ -149,7 +131,7 @@ def cap_merge(state: AggState, cap: int) -> AggState:
 def _arrival_levels(
     config: EpisodeConfig, max_laxity: int
 ) -> dict[int, list[tuple[int, int, int]]]:
-    """Per arrival slot: (id, demand, laxity level) of each arriving EV, with
+    """Per arrival slot: (laxity level, id, demand) of each arriving EV, with
     the ids of ``arrival_schedule``; a level outside [0, max_laxity] raises."""
     out: dict[int, list[tuple[int, int, int]]] = {}
     for t, items in arrival_schedule(config).items():
@@ -161,7 +143,7 @@ def _arrival_levels(
                     f"arrival at t={t} has laxity {level} outside "
                     f"[0, {max_laxity}]"
                 )
-            entries.append((ev_id, event.demand, level))
+            entries.append((level, ev_id, event.demand))
         out[t] = entries
     return out
 
@@ -169,11 +151,12 @@ def _arrival_levels(
 class AggSimulator:
     """Rollout engine for one day over laxity-group counts.
 
-    Published counts are driven purely by `group_allocate` + `agg_transition`.
-    Internally each level keeps its members' (id, remaining demand) in id
-    order, which is exactly what the per-EV least-laxity-first dispatch with
-    ascending-id tie-break induces; this bookkeeping only serves to emit
-    departures and never reaches the controller.
+    The parked EVs form one list of (laxity, id, remaining demand), kept
+    sorted, so a step charges its first ``total_action`` entries: the EVs
+    that per-EV least-laxity-first dispatch with ascending-id tie-break
+    charges.  Charged EVs keep their laxity and leave once their demand is
+    met; idle EVs drop one level.  Only the per-level counts of that list,
+    with the price, reach the controller.
     """
 
     def __init__(self, config: EpisodeConfig, max_laxity: int):
@@ -184,27 +167,18 @@ class AggSimulator:
 
     def reset(self) -> AggState:
         self._t = 0
-        # per level: [id, demand] pairs in ascending id order
-        self._levels: list[list[list[int]]] = [
-            [] for _ in range(self.max_laxity + 1)
-        ]
-        self._insert_arrivals(0)
-        self._state = AggState(
-            self.config.prices[0], tuple(len(lv) for lv in self._levels)
-        )
-        self.last_flow: GroupFlow | None = None
+        self._parked: list[tuple[int, int, int]] = []
+        self._admit()
         return self._state
 
-    def _insert_arrivals(self, t: int) -> tuple[int, ...]:
-        arrived = [0] * (self.max_laxity + 1)
-        touched = set()
-        for ev_id, demand, level in self._arrivals.get(t, []):
-            self._levels[level].append([ev_id, demand])
-            touched.add(level)
-            arrived[level] += 1
-        for level in touched:
-            self._levels[level].sort(key=lambda entry: entry[0])
-        return tuple(arrived)
+    def _admit(self) -> None:
+        """Park slot t's arrivals and publish the counts of slot t."""
+        # ids are unique, so sorting never compares demands
+        self._parked = sorted(self._parked + self._arrivals.get(self._t, []))
+        counts = [0] * (self.max_laxity + 1)
+        for level, _, _ in self._parked:
+            counts[level] += 1
+        self._state = AggState(self.config.prices[self._t], tuple(counts))
 
     @property
     def t(self) -> int:
@@ -222,52 +196,33 @@ class AggSimulator:
     @property
     def chargeable(self) -> int:
         """EVs that can be charged this slot (all parked EVs still need charge)."""
-        return self._state.total
+        return len(self._parked)
 
     def step(self, total_action: int) -> tuple[AggState, float]:
-        """Charge ``total_action`` EVs, lowest laxity levels first."""
+        """Charge ``total_action`` EVs, lowest (laxity, id) first."""
         if self._t >= self.config.horizon:
             raise ValueError(
                 f"cannot step past the episode horizon (t={self._t}, "
                 f"horizon={self.config.horizon})"
             )
-        total_action = int(total_action)
-        counts = self._state.counts
-        charged_vec = group_allocate(total_action, counts)
-        if charged_vec[0] < counts[0]:
+        k = int(total_action)
+        if not self.urgent <= k <= self.chargeable:
             raise ValueError(
-                f"slot {self._t}: budget {total_action} leaves zero-laxity "
-                f"EVs idle; the rollout would become infeasible"
+                f"slot {self._t}: action {k} outside [{self.urgent}, "
+                f"{self.chargeable}] (zero-laxity EVs left idle or more EVs "
+                f"charged than parked)"
             )
-        reward = -self._state.price * total_action
-
-        departed = [0] * (self.max_laxity + 1)
-        new_levels: list[list[list[int]]] = [[] for _ in range(self.max_laxity + 1)]
-        for level in range(self.max_laxity + 1):
-            members = self._levels[level]
-            k = charged_vec[level]
-            for entry in members[:k]:  # lowest ids first, as per-EV LLF does
-                if entry[1] - 1 == 0:
-                    departed[level] += 1
-                else:
-                    new_levels[level].append([entry[0], entry[1] - 1])
-            if k < len(members):
-                # idle EVs drop one laxity level; level 0 was guarded above
-                moved = [[e[0], e[1]] for e in members[k:]]
-                new_levels[level - 1] = _merge_by_id(new_levels[level - 1], moved)
-
-        self._levels = new_levels
+        reward = -self._state.price * k
+        charged = [
+            (level, ev_id, demand - 1)
+            for level, ev_id, demand in self._parked[:k]
+            if demand > 1
+        ]
+        idle = [(level - 1, ev_id, demand) for level, ev_id, demand in self._parked[k:]]
+        self._parked = charged + idle
         self._t += 1
-        arrived = self._insert_arrivals(self._t)
-        new_counts = tuple(_shift_counts(counts, charged_vec, arrived, departed))
-        if new_counts != tuple(len(lv) for lv in self._levels):
-            raise RuntimeError(
-                "count transition diverged from per-level bookkeeping"
-            )
-        next_state = _agg_state_unchecked(self.config.prices[self._t], new_counts)
-        self.last_flow = GroupFlow(charged_vec, arrived, tuple(departed))
-        self._state = next_state
-        return next_state, reward
+        self._admit()
+        return self._state, reward
 
 
 class BatchSimulator:
@@ -298,7 +253,7 @@ class BatchSimulator:
         self._laxity0 = np.zeros(shape, dtype=np.int64)
         for b, config in enumerate(configs):
             for t, entries in _arrival_levels(config, max_laxity).items():
-                for ev_id, demand, level in entries:
+                for level, ev_id, demand in entries:
                     self._arrival0[b, ev_id] = t
                     self._demand0[b, ev_id] = demand
                     self._laxity0[b, ev_id] = level
@@ -388,30 +343,3 @@ class BatchSimulator:
         self._t += 1
         self._tally()
         return self.counts, reward
-
-
-def _agg_state_unchecked(price: float, counts: tuple[int, ...]) -> AggState:
-    """AggState constructor bypassing validation; counts must already be
-    non-negative ints (the simulator's shift arithmetic guarantees it)."""
-    state = object.__new__(AggState)
-    object.__setattr__(state, "price", price)
-    object.__setattr__(state, "counts", counts)
-    return state
-
-
-def _merge_by_id(
-    left: list[list[int]], right: list[list[int]]
-) -> list[list[int]]:
-    """Merge two id-sorted entry lists, keeping ascending id order."""
-    out: list[list[int]] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i][0] <= right[j][0]:
-            out.append(left[i])
-            i += 1
-        else:
-            out.append(right[j])
-            j += 1
-    out.extend(left[i:])
-    out.extend(right[j:])
-    return out

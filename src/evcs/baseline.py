@@ -17,7 +17,7 @@ import numpy as np
 
 from .agg import AggSimulator, AggState
 from .env import EpisodeConfig
-from .policy import DivergenceError, TrainConfig
+from .policy import DivergenceError, TrainConfig, require_fields
 
 N_FEATURES = 4
 EPS_START = 1.0
@@ -93,12 +93,20 @@ def qe_greedy_action(
     price_threshold: float,
     congestion_count: int = 12,
 ) -> int:
-    """Highest-value feasible action; ties resolve to the smallest action."""
+    """Highest-value feasible action; ties resolve to the smallest action.
+
+    On the feasible range [urgent, chargeable], f1 is always 0 and f3 does
+    not depend on the action; f0 changes only between actions 0 and 1, and
+    f2 only at ``chargeable``.  The features, and so the value, are constant
+    on each stretch between those points, so scanning the smallest action of
+    each stretch (urgent, max(urgent, 1) and chargeable) in ascending order
+    finds the same argmax and tie-break as scanning the whole range.
+    """
     if urgent > chargeable:
         raise ValueError("empty feasible action set: urgent exceeds chargeable")
     best_action = urgent
     best_value = None
-    for action in range(urgent, chargeable + 1):
+    for action in sorted({urgent, min(max(urgent, 1), chargeable), chargeable}):
         value = qe_value(
             theta,
             qe_features(state, action, urgent, chargeable, price_threshold, congestion_count),
@@ -259,9 +267,13 @@ def qe_model_dict(
 
 
 def qe_from_model(model: dict) -> tuple[QeParams, QeFeatureConfig, int]:
+    """Parse a QE model dict; a missing field or a ``theta`` of the wrong
+    length raises ValueError naming the field."""
+    require_fields(model, ("theta", "max_laxity"))
     params = QeParams(np.array(model["theta"], dtype=float))
+    threshold = model.get("price_threshold")
     feature_config = QeFeatureConfig(
-        price_threshold=model.get("price_threshold"),
+        price_threshold=None if threshold is None else float(threshold),
         congestion_count=int(model.get("congestion_count", 12)),
     )
     return params, feature_config, int(model["max_laxity"])

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -278,29 +278,51 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _eval_model(model: dict, config: EpisodeConfig) -> tuple[float, tuple[int, ...]]:
-    if model["algo"] == policy.MODEL_KIND_PG:
-        params, scaler, max_laxity, level_cap = policy.pg_from_model(model)
+def _load_evaluator(path: str) -> Callable[[EpisodeConfig], tuple[float, tuple[int, ...]]]:
+    """Parse a model file once; the result evaluates the model on one day.
+
+    A malformed file raises DataError naming the file and the field, and so
+    does a model that does not fit the day it is evaluated on.
+    """
+    kinds = {
+        policy.MODEL_KIND_PG: (policy.pg_from_model, policy.evaluate_policy),
+        baseline.MODEL_KIND_QE: (baseline.qe_from_model, baseline.evaluate_qe),
+    }
+    try:
+        model = policy.load_model(path)
+        algo = model["algo"]
+        if not isinstance(algo, str) or algo not in kinds:
+            raise ValueError(f"unknown model algo {algo!r}")
+        parse, evaluate = kinds[algo]
+        fields = parse(model)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+    def evaluate_day(config: EpisodeConfig) -> tuple[float, tuple[int, ...]]:
         try:
-            return policy.evaluate_policy(config, params, scaler, max_laxity, level_cap)
+            return evaluate(config, *fields)
         except ValueError as exc:
-            raise DataError(f"model does not fit this data: {exc}") from None
-    if model["algo"] == baseline.MODEL_KIND_QE:
-        params, feature_config, max_laxity = baseline.qe_from_model(model)
-        try:
-            return baseline.evaluate_qe(config, params, feature_config, max_laxity)
-        except ValueError as exc:
-            raise DataError(f"model does not fit this data: {exc}") from None
-    raise DataError(f"unknown model algo {model['algo']!r}")
+            raise DataError(f"{path}: model does not fit this data: {exc}") from None
+
+    return evaluate_day
+
+
+def _improvement_cell(reward_a: float, reward_b: float) -> str:
+    """The improvement_pct cell of `evcs compare`: "nan" where it is undefined
+    (a zero baseline reward against a non-zero one)."""
+    try:
+        return f"{percent_improvement(reward_a, reward_b):.2f}"
+    except ValueError:
+        return "nan"
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    model = policy.load_model(args.model)
+    evaluate = _load_evaluator(args.model)
     days = load_days(args.data)
     rows = []
     rewards = []
     for stem, config in days:
-        reward, _ = _eval_model(model, config)
+        reward, _ = evaluate(config)
         rows.append([stem, repr(float(reward))])
         rewards.append(reward)
     rows.append(["average", repr(float(np.mean(rewards)))])
@@ -312,21 +334,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    model_a = policy.load_model(args.model_a)
-    model_b = policy.load_model(args.model_b)
+    evaluate_a = _load_evaluator(args.model_a)
+    evaluate_b = _load_evaluator(args.model_b)
     days = load_days(args.data)
     out_dir = _out_path(args.out) if args.out else None
 
     rows = []
     rewards_a, rewards_b = [], []
     for stem, config in days:
-        reward_a, actions_a = _eval_model(model_a, config)
-        reward_b, actions_b = _eval_model(model_b, config)
+        reward_a, actions_a = evaluate_a(config)
+        reward_b, actions_b = evaluate_b(config)
         rewards_a.append(reward_a)
         rewards_b.append(reward_b)
         rows.append(
             [stem, repr(float(reward_a)), repr(float(reward_b)),
-             f"{percent_improvement(reward_a, reward_b):.2f}"]
+             _improvement_cell(reward_a, reward_b)]
         )
         if out_dir is not None:
             _write_csv(
@@ -339,8 +361,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             )
     mean_a, mean_b = float(np.mean(rewards_a)), float(np.mean(rewards_b))
     rows.append(
-        ["average", repr(mean_a), repr(mean_b),
-         f"{percent_improvement(mean_a, mean_b):.2f}"]
+        ["average", repr(mean_a), repr(mean_b), _improvement_cell(mean_a, mean_b)]
     )
     header = ["day", "reward_a", "reward_b", "improvement_pct"]
     print(",".join(header))

@@ -641,17 +641,34 @@ def pg_model_dict(
     }
 
 
+def require_fields(model: dict, names: Sequence[str]) -> None:
+    """Raise ValueError naming the first of ``names`` missing from a model."""
+    for name in names:
+        if name not in model:
+            raise ValueError(f"missing field '{name}'")
+
+
 def pg_from_model(model: dict) -> tuple[PolicyParams, FeatureScaler, int, int | None]:
-    params = PolicyParams(
-        weights=np.array(model["weights"], dtype=float),
-        bias=model["bias"],
-        sigma=model["sigma"],
-    )
-    scaler = FeatureScaler(
-        mean=np.array(model["feature_mean"], dtype=float),
-        std=np.array(model["feature_std"], dtype=float),
-    )
-    return params, scaler, int(model["max_laxity"]), model.get("level_cap")
+    """Parse a PG model dict; a missing field, a ``level_cap`` below 1 or a
+    vector whose length is not ``feature_dim(max_laxity, level_cap)`` raises
+    ValueError naming the field."""
+    require_fields(model, ("weights", "bias", "sigma", "feature_mean", "feature_std", "max_laxity"))
+    max_laxity = int(model["max_laxity"])
+    level_cap = None if model.get("level_cap") is None else int(model["level_cap"])
+    if level_cap is not None and level_cap < 1:
+        raise ValueError(f"field 'level_cap' must be >= 1 or null, got {level_cap}")
+    dim = feature_dim(max_laxity, level_cap)
+    vectors = {}
+    for name in ("weights", "feature_mean", "feature_std"):
+        vectors[name] = np.array(model[name], dtype=float)
+        if vectors[name].shape != (dim,):
+            raise ValueError(
+                f"field '{name}' has shape {vectors[name].shape}, expected ({dim},) "
+                f"for max_laxity {max_laxity} and level_cap {level_cap}"
+            )
+    params = PolicyParams(weights=vectors["weights"], bias=model["bias"], sigma=model["sigma"])
+    scaler = FeatureScaler(mean=vectors["feature_mean"], std=vectors["feature_std"])
+    return params, scaler, max_laxity, level_cap
 
 
 def save_model(path: str | Path, model: dict) -> None:
@@ -660,7 +677,9 @@ def save_model(path: str | Path, model: dict) -> None:
 
 
 def load_model(path: str | Path) -> dict:
+    """Read a model file; text that is not a JSON object with an 'algo'
+    field raises ValueError."""
     model = json.loads(Path(path).read_text())
-    if "algo" not in model:
-        raise ValueError(f"{path}: not a model file (missing 'algo' field)")
+    if not isinstance(model, dict) or "algo" not in model:
+        raise ValueError("not a model file (missing 'algo' field)")
     return model

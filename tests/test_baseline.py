@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evcs.agg import AggState
 from evcs.baseline import (
@@ -65,21 +67,44 @@ def test_greedy_tie_rule_and_single_action():
     assert qe_greedy_action(np.zeros(4), state, 2, 2, 9.0) == 2
 
 
+def _full_scan(theta, state, urgent, chargeable, threshold, congestion_count=12):
+    """Greedy action by scanning every feasible action; ties go to the smallest."""
+    best, best_v = None, None
+    for a in range(urgent, chargeable + 1):
+        v = qe_value(theta, qe_features(state, a, urgent, chargeable, threshold, congestion_count))
+        if best_v is None or v > best_v:
+            best, best_v = a, v
+    return best
+
+
 def test_greedy_charges_fully_when_cheap():
     theta = np.array([-10.0, 0.0, 1.0, 0.0])
     cheap = AggState(1.0, (0, 2, 1))
     dear = AggState(9.0, (0, 2, 1))
+    assert qe_greedy_action(theta, cheap, 0, 3, 5.0) == _full_scan(theta, cheap, 0, 3, 5.0) == 3
+    assert qe_greedy_action(theta, dear, 0, 3, 5.0) == _full_scan(theta, dear, 0, 3, 5.0) == 0
 
-    def oracle(state):
-        best, best_v = None, None
-        for a in range(0, 4):
-            v = qe_value(theta, qe_features(state, a, 0, 3, 5.0))
-            if best_v is None or v > best_v:
-                best, best_v = a, v
-        return best
 
-    assert qe_greedy_action(theta, cheap, 0, 3, 5.0) == oracle(cheap) == 3
-    assert qe_greedy_action(theta, dear, 0, 3, 5.0) == oracle(dear) == 0
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]), min_size=4, max_size=4),
+    st.integers(0, 15).flatmap(
+        lambda c: st.tuples(st.one_of(st.just(0), st.just(min(1, c)), st.integers(0, c)), st.just(c))
+    ),
+    st.sampled_from([4.0, 5.0, 6.0]),
+    st.integers(0, 16),
+)
+def test_greedy_three_candidates_match_full_scan(theta, bounds, price, congestion_count):
+    """Scanning urgent, max(urgent, 1) and chargeable gives the full scan's
+    action: theta has ties and zeros, urgent is often 0 or 1 (where the
+    stretches meet), the price lies below, at and above the threshold 5.0,
+    and the parked total on both sides of congestion_count."""
+    urgent, chargeable = bounds
+    state = AggState(price, (urgent, chargeable - urgent))
+    theta = np.array(theta)
+    assert qe_greedy_action(theta, state, urgent, chargeable, 5.0, congestion_count) == _full_scan(
+        theta, state, urgent, chargeable, 5.0, congestion_count
+    )
 
 
 def test_td_gamma_zero_fits_least_squares():

@@ -216,3 +216,63 @@ def test_eval_model_data_mismatch_is_data_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--model", str(model_path), "--data", str(data_dir)]) == EXIT_DATA
     assert "does not fit" in capsys.readouterr().err
+
+
+def _one_ev_day(tmp_path):
+    """Two hours, priced 5.0 in hour 0 and 0.0 after; one EV of laxity 7
+    arrives at slot 0 and needs one unit of charge."""
+    data_dir = tmp_path / "one_ev"
+    data_dir.mkdir()
+    rows = ["timestamp,price", "2026-01-01T00:00,5.0", "2026-01-01T01:00,0.0"]
+    (data_dir / "day00_prices.csv").write_text("\n".join(rows) + "\n")
+    (data_dir / "day00_arrivals.csv").write_text("slot,demand,parking,category\n0,1,8,normal\n")
+    return data_dir
+
+
+def _hand_models():
+    """A PG model that charges every parked EV at once (mean 10) and a QE
+    model whose all-zero theta charges only zero-laxity EVs."""
+    pg = {"algo": "pg", "weights": [0.0] * 9, "bias": 10.0, "sigma": 1.0,
+          "feature_mean": [0.0] * 9, "feature_std": [1.0] * 9,
+          "max_laxity": 7, "level_cap": None, "config_hash": ""}
+    qe = {"algo": "qe", "theta": [0.0] * 4, "price_threshold": None,
+          "congestion_count": 12, "max_laxity": 7, "config_hash": ""}
+    return pg, qe
+
+
+def test_compare_zero_baseline_reward_writes_nan(tmp_path, capsys):
+    data_dir = _one_ev_day(tmp_path)
+    pg, qe = _hand_models()
+    (tmp_path / "pg.json").write_text(json.dumps(pg))
+    (tmp_path / "qe.json").write_text(json.dumps(qe))
+    code = main(["compare", str(tmp_path / "pg.json"), str(tmp_path / "qe.json"),
+                 "--data", str(data_dir)])
+    assert code == EXIT_OK
+    table = capsys.readouterr().out.strip().splitlines()
+    assert table[1:] == ["day00,-5.0,0.0,nan", "average,-5.0,0.0,nan"]
+
+
+@pytest.mark.parametrize(
+    "algo, edit, field",
+    [
+        ("pg", lambda m: m.pop("bias"), "bias"),
+        ("pg", lambda m: m["weights"].pop(), "weights"),
+        ("pg", lambda m: m["feature_std"].append(1.0), "feature_std"),
+        ("qe", lambda m: m["theta"].pop(), "theta"),
+        ("qe", lambda m: m.pop("max_laxity"), "max_laxity"),
+        ("qe", lambda m: m.update(algo=["qe"]), "algo"),
+    ],
+)
+def test_malformed_model_is_data_error_naming_file_and_field(tmp_path, capsys, algo, edit, field):
+    data_dir = _one_ev_day(tmp_path)
+    models = dict(zip(("pg", "qe"), _hand_models()))
+    edit(models[algo])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(models[algo]))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(models["qe" if algo == "pg" else "pg"]))
+    for argv in (["eval", "--model", str(bad)], ["compare", str(good), str(bad)]):
+        capsys.readouterr()
+        assert main(argv + ["--data", str(data_dir)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and field in err
