@@ -9,13 +9,22 @@ value repeated for its slots).  Synthetic days draw hourly Poisson arrival
 counts per EV category and integer-triangular demand/parking pairs, rejected
 until the implied laxity lands in [0, max_laxity]; parking is clamped to the
 end of the day so every generated day is fully schedulable.
+
+Draw contract: each try takes one uniform per triangle with more than one
+value (demand first, then parking), read through a cdf precomputed once per
+triangle; an arrival that no pair of support values can fit consumes its
+1000 tries' uniforms in one bulk draw and is dropped.  This is exactly the
+stream of one ``Generator.choice`` call per value, so a seed gives the same
+days, byte for byte, as earlier versions that called ``choice``.
 """
 
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -175,15 +184,49 @@ def gen_prices(
     return tuple(float(max(p, 0.5)) for p in prices)
 
 
-def _triangular_int(rng: np.random.Generator, lo: int, mode: int, hi: int) -> int:
+# tries per arrival before it is dropped as unable to fit
+_TRIES = 1000
+
+
+@lru_cache(maxsize=256)
+def _triangle(lo: int, mode: int, hi: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Support and cdf of the integer triangle on ``lo..hi``.
+
+    The cdf is built exactly as ``Generator.choice(values, p=w)`` builds it
+    (``p = w / w.sum(); cdf = p.cumsum(); cdf /= cdf[-1]``), so
+    ``values[bisect_right(cdf, rng.random())]`` is the value ``choice`` draws
+    from the same uniform.  A one-value triangle has an empty cdf: it draws
+    no uniform.
+    """
     values = np.arange(lo, hi + 1)
     if len(values) == 1:
-        return int(values[0])
+        return (lo,), ()
     left = np.where(values <= mode, values - lo + 1, 0.0)
     right = np.where(values > mode, hi - values, 0.0)
     weights = left + right
-    weights = weights / weights.sum()
-    return int(rng.choice(values, p=weights))
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return tuple(values.tolist()), tuple(cdf.tolist())
+
+
+@lru_cache(maxsize=256)
+def _fits(
+    demand: tuple[int, int, int],
+    parking: tuple[int, int, int],
+    horizon: int,
+    max_laxity: int,
+) -> tuple[bool, ...]:
+    """``fits[s]``: whether any pair of support values fits ``s`` slots left.
+
+    A pair fits when ``d <= min(q, s)`` and ``min(q, s) - d <= max_laxity``.
+    Every drawable pair is a support pair, so where this is False no try can
+    succeed.
+    """
+    d = np.arange(demand[0], demand[2] + 1)[None, :, None]
+    slots_left = np.arange(horizon + 1)[:, None, None]
+    q = np.minimum(np.arange(parking[0], parking[2] + 1)[None, None, :], slots_left)
+    ok = (d <= q) & (q - d <= max_laxity)
+    return tuple(ok.any(axis=(1, 2)).tolist())
 
 
 def gen_day(
@@ -195,25 +238,39 @@ def gen_day(
 ) -> list[ArrivalEvent]:
     """Draw one synthetic day of arrivals, deterministic for a given seed.
 
-    Arrivals whose (demand, parking) cannot fit before the end of the day
-    after 1000 rejection draws are dropped.
+    Per profile and hour: one Poisson count, then per arrival one integer
+    slot within the hour and up to 1000 (demand, parking) tries.  A try
+    takes one uniform for demand, then one for parking, except from a
+    one-value triangle, which takes none; parking is clamped to the slots
+    left, and the first try with ``demand <= parking`` and laxity at most
+    ``max_laxity`` is kept.  An arrival that no pair of support values can
+    fit is dropped at once, consuming its 1000 tries' uniforms in one bulk
+    draw; one that fails all its tries is dropped too.  Days are
+    byte-identical to those of earlier versions for the same seed.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    random = rng.random
     hours = horizon // slots_per_hour
     events: list[ArrivalEvent] = []
     for profile in profiles:
+        d_values, d_cdf = _triangle(*profile.demand)
+        p_values, p_cdf = _triangle(*profile.parking)
+        fits = _fits(profile.demand, profile.parking, horizon, max_laxity)
+        hopeless_draws = _TRIES * (bool(d_cdf) + bool(p_cdf))
         for hour in range(hours):
             rate = profile.hourly_rates[hour % 24]
             for _ in range(int(rng.poisson(rate))):
                 slot = hour * slots_per_hour + int(rng.integers(slots_per_hour))
                 slots_left = horizon - slot
-                for _ in range(1000):
-                    demand = _triangular_int(rng, *profile.demand)
-                    parking = min(_triangular_int(rng, *profile.parking), slots_left)
-                    if demand <= parking and 0 <= parking - demand <= max_laxity:
-                        events.append(
-                            ArrivalEvent(slot, demand, parking, profile.category)
-                        )
+                if not fits[slots_left]:
+                    random(hopeless_draws)  # the uniforms its tries would draw
+                    continue
+                for _ in range(_TRIES):
+                    demand = d_values[bisect_right(d_cdf, random())] if d_cdf else d_values[0]
+                    parking = p_values[bisect_right(p_cdf, random())] if p_cdf else p_values[0]
+                    parking = min(parking, slots_left)
+                    if demand <= parking and parking - demand <= max_laxity:
+                        events.append(ArrivalEvent(slot, demand, parking, profile.category))
                         break
     events.sort(key=lambda e: e.t)
     return events

@@ -63,7 +63,7 @@ class StationState:
         return sum(1 for ev in self.evs if ev.demand > 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrivalEvent:
     """An EV arrival: when it shows up and what it asks for."""
 

@@ -217,6 +217,35 @@ def test_batch_simulator_rows_match_agg_simulator(seed):
     assert [tuple(c) for c in counts.tolist()] == [s.counts for s in states]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_batch_simulator_rows_match_per_ev_llf(seed):
+    """c04a's trajectory equivalence for the batch engine: each row, stepped
+    with random totals in [urgent, chargeable], aggregates the per-EV env
+    under LLF dispatch of the same totals at every slot and earns exactly
+    its rewards."""
+    rng = np.random.default_rng(seed)
+    horizon, max_laxity = 8, 7
+    days = [_padded_day(rng, horizon) for _ in range(5)]
+    batch = BatchSimulator(days, max_laxity)
+    envs = [ChargingEnv(day) for day in days]
+    states = [env.reset() for env in envs]
+    for _ in range(horizon):
+        published = [AggState(p, tuple(c)) for p, c in zip(batch.price.tolist(), batch.counts.tolist())]
+        assert published == [aggregate(state, max_laxity) for state in states]
+        totals = [int(rng.integers(agg.counts[0], agg.total + 1)) for agg in published]
+        _, rewards = batch.step(totals)
+        stepped = [
+            env.apply_actions(state, llf_allocate(total, state.evs))
+            for env, state, total in zip(envs, states, totals)
+        ]
+        states = [state for state, _, _ in stepped]
+        assert rewards.tolist() == [reward for _, reward, _ in stepped]  # exact
+    assert [tuple(c) for c in batch.counts.tolist()] == [
+        aggregate(state, max_laxity).counts for state in states
+    ]
+
+
 def test_batch_simulator_raises_where_agg_simulator_does():
     cfg = EpisodeConfig(3, (1.0, 2.0, 3.0, 4.0), (ArrivalEvent(0, 1, 1), ArrivalEvent(0, 1, 3)))
     for bad_laxity in (0, 1):  # the second EV has laxity 2

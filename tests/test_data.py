@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evcs.data import (
     DEFAULT_PROFILES,
@@ -121,6 +123,99 @@ def test_gen_day_point_mass_distributions():
     events = gen_day([spike], seed=3)
     assert all(e.demand == 3 and e.parking == 4 for e in events)
     assert all(20 <= e.t < 24 for e in events)
+
+
+def _choice_triangular_int(rng, lo, mode, hi):
+    """Reference draw: one ``Generator.choice`` call over freshly built weights."""
+    values = np.arange(lo, hi + 1)
+    if len(values) == 1:
+        return int(values[0])
+    left = np.where(values <= mode, values - lo + 1, 0.0)
+    right = np.where(values > mode, hi - values, 0.0)
+    weights = left + right
+    weights = weights / weights.sum()
+    return int(rng.choice(values, p=weights))
+
+
+def _choice_gen_day(profiles, rng, horizon, slots_per_hour, max_laxity):
+    """Reference ``gen_day``: 1000 plain rejection tries per arrival.
+
+    Returns the events and the number of arrivals drawn, kept or not."""
+    hours = horizon // slots_per_hour
+    events, drawn = [], 0
+    for profile in profiles:
+        for hour in range(hours):
+            rate = profile.hourly_rates[hour % 24]
+            for _ in range(int(rng.poisson(rate))):
+                drawn += 1
+                slot = hour * slots_per_hour + int(rng.integers(slots_per_hour))
+                slots_left = horizon - slot
+                for _ in range(1000):
+                    demand = _choice_triangular_int(rng, *profile.demand)
+                    parking = min(_choice_triangular_int(rng, *profile.parking), slots_left)
+                    if demand <= parking and 0 <= parking - demand <= max_laxity:
+                        events.append(ArrivalEvent(slot, demand, parking, profile.category))
+                        break
+    events.sort(key=lambda e: e.t)
+    return events, drawn
+
+
+def _assert_same_stream(profiles, seed, horizon, slots_per_hour, max_laxity):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    events = gen_day(profiles, ours, horizon, slots_per_hour, max_laxity)
+    reference, drawn = _choice_gen_day(profiles, theirs, horizon, slots_per_hour, max_laxity)
+    assert events == reference
+    assert ours.random() == theirs.random()
+    return events, drawn
+
+
+@st.composite
+def _triangles(draw):
+    lo = draw(st.integers(1, 8))
+    hi = lo + draw(st.sampled_from([0, 0, 1, 2, 5, 12]))
+    mode = draw(st.sampled_from([lo, hi, draw(st.integers(lo, hi))]))
+    return (lo, mode, hi)
+
+
+@st.composite
+def _profiles(draw):
+    profiles = []
+    for category in draw(st.lists(st.sampled_from(list(Category)), min_size=1, max_size=3)):
+        rates = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.3, 0.6]), min_size=24, max_size=24))
+        profiles.append(CategoryProfile(category, tuple(rates), draw(_triangles()), draw(_triangles())))
+    return profiles
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _profiles(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 32),
+    st.sampled_from([1, 2, 4]),
+    st.sampled_from([0, 0, 1, 3, 12]),
+)
+def test_gen_day_matches_choice_reference(profiles, seed, horizon, slots_per_hour, max_laxity):
+    """Same events and the same random stream afterwards as drawing every
+    value with ``Generator.choice``, over point masses, ``mode`` at either
+    end, wide triangles and laxity 0."""
+    _assert_same_stream(profiles, seed, horizon, slots_per_hour, max_laxity)
+
+
+def test_gen_day_drops_hopeless_late_arrivals_like_choice_reference():
+    """Arrivals in the last hours have fewer slots left than the least demand:
+    each is dropped after consuming its tries' uniforms, as the reference does."""
+    late = CategoryProfile(
+        Category.RESIDENTIAL,
+        tuple(1.0 if 3 <= h < 6 else 0.0 for h in range(24)),
+        demand=(10, 11, 14),
+        parking=(10, 13, 16),
+    )
+    dropped = 0
+    for seed in range(4):
+        events, drawn = _assert_same_stream([late], seed, 24, 4, 6)
+        assert all(e.t + 10 <= 24 for e in events)
+        dropped += drawn - len(events)
+    assert dropped > 0
 
 
 def test_arrivals_round_trip(tmp_path):
