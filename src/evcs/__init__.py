@@ -7,7 +7,7 @@ learns total-action policies with a linear Gaussian policy-gradient method
 or an approximate-Q baseline.
 """
 
-from .agg import AggSimulator, AggState, BatchSimulator, agg_transition, aggregate, cap_merge, group_allocate
+from .agg import AggSimulator, AggState, BatchSimulator, agg_transition, aggregate, group_allocate
 from .env import (
     ArrivalEvent,
     Category,

@@ -118,14 +118,9 @@ def agg_transition(
     return AggState(next_price, tuple(new_counts))
 
 
-def cap_merge(state: AggState, cap: int) -> AggState:
-    """Pool all laxity levels >= cap into one trailing count."""
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    if cap >= state.max_level:
-        return state
-    merged = state.counts[:cap] + (sum(state.counts[cap:]),)
-    return AggState(state.price, merged)
+def max_arrival_laxity(config: EpisodeConfig) -> int:
+    """Highest laxity among a day's arrivals (0 for a day without arrivals)."""
+    return max((laxity(e.demand, e.parking) for e in config.arrivals), default=0)
 
 
 def _arrival_levels(

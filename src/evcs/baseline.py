@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .agg import AggSimulator, AggState
+from .agg import AggSimulator, AggState, max_arrival_laxity
 from .env import EpisodeConfig
 from .policy import DivergenceError, TrainConfig, require_fields
 
@@ -230,9 +230,13 @@ def evaluate_qe(
     feature_config: QeFeatureConfig,
     max_laxity: int,
 ) -> tuple[float, tuple[int, ...]]:
-    """Greedy (epsilon = 0) evaluation: total reward and per-slot actions."""
+    """Greedy (epsilon = 0) evaluation: total reward and per-slot actions.
+
+    The simulator is sized to the day's highest arrival laxity where that
+    exceeds ``max_laxity``; the features read no per-level count.
+    """
     threshold = _day_threshold(config, feature_config)
-    sim = AggSimulator(config, max_laxity)
+    sim = AggSimulator(config, max(max_laxity, max_arrival_laxity(config)))
     state = sim.reset()
     total = 0.0
     actions = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -18,10 +19,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import baseline, data, policy
+from .agg import max_arrival_laxity
 from .baseline import QeFeatureConfig
 from .data import DataError
-from .env import ArrivalEvent, EpisodeConfig
-from .llf import laxity
+from .env import EpisodeConfig
 from .policy import DivergenceError, PolicyParams, TrainConfig
 
 EXIT_OK = 0
@@ -65,54 +66,101 @@ def config_hash(document: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def _require(document: dict, field: str, context: str):
-    if field not in document:
+def _require(document: dict, field: str, context: str, default=None):
+    """Field ``field`` of ``document``, or ``default`` if it is absent and
+    ``default`` is not None."""
+    if not isinstance(document, dict):
+        raise DataError(f"{context}: expected an object, got {document!r}")
+    if field in document:
+        return document[field]
+    if default is None:
         raise DataError(f"{context}: missing field '{field}'")
-    return document[field]
+    return default
 
 
-def parse_experiment(document: dict) -> dict:
-    """Validate a generation config, raising DataError with the failing field."""
+def _number(value, kind: type, where: str):
+    """``value`` as an int (``kind`` int) or a finite float (``kind`` float);
+    any other value raises DataError naming ``where``."""
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        wanted = "an integer" if kind is int else "a number"
+        raise DataError(f"{where} must be {wanted}, got {value!r}")
+    try:
+        if math.isfinite(value):
+            return kind(value)
+    except OverflowError:
+        pass
+    raise DataError(f"{where} must be finite, got {value!r}")
+
+
+def _field(document: dict, name: str, context: str, kind: type, default=None):
+    """Field ``name`` of ``document`` (or ``default``) through `_number`."""
+    value = _require(document, name, context, default)
+    return _number(value, kind, f"{context}: field '{name}'")
+
+
+def _numbers(document: dict, name: str, context: str, kind: type, length: int | None = None):
+    """A list field of numbers through `_number`, of ``length`` entries if given."""
+    values = _require(document, name, context)
+    if not isinstance(values, list) or length not in (None, len(values)):
+        shape = "a list" if length is None else f"a list of {length}"
+        raise DataError(f"{context}: field '{name}' must be {shape}, got {values!r}")
+    return tuple(_number(v, kind, f"{context}: field '{name}'") for v in values)
+
+
+def parse_experiment(document: dict, source: str = "config") -> dict:
+    """Validate a generation config, raising DataError naming ``source`` and
+    the failing field.  Slots last 15 minutes, as `load_days` reads them, so
+    a ``slots_per_hour`` other than 4 is rejected."""
     out = {
-        "days": int(_require(document, "days", "config")),
-        "horizon": int(_require(document, "horizon", "config")),
-        "slots_per_hour": int(document.get("slots_per_hour", 4)),
-        "max_laxity": int(document.get("max_laxity", 12)),
+        "days": _field(document, "days", source, int),
+        "horizon": _field(document, "horizon", source, int),
+        "slots_per_hour": _field(document, "slots_per_hour", source, int, 4),
+        "max_laxity": _field(document, "max_laxity", source, int, 12),
     }
     if out["days"] < 0:
-        raise DataError("config: field 'days' must be >= 0")
+        raise DataError(f"{source}: field 'days' must be >= 0")
+    if out["slots_per_hour"] != 4:
+        raise DataError(f"{source}: field 'slots_per_hour' must be 4 (15-minute slots)")
     if out["horizon"] < 1 or out["horizon"] % out["slots_per_hour"]:
-        raise DataError("config: field 'horizon' must be a positive multiple of slots_per_hour")
-    price = document.get("price", {})
+        raise DataError(f"{source}: field 'horizon' must be a positive multiple of slots_per_hour")
+    if out["max_laxity"] < 0:
+        raise DataError(f"{source}: field 'max_laxity' must be >= 0")
+    price = _require(document, "price", source, {})
     out["price"] = {
-        "base": float(price.get("base", 12.0)),
-        "morning_peak": float(price.get("morning_peak", 6.0)),
-        "evening_peak": float(price.get("evening_peak", 18.0)),
-        "noise": float(price.get("noise", 1.5)),
-    }
-    profiles = []
-    for i, entry in enumerate(_require(document, "profiles", "config")):
-        context = f"config: profiles[{i}]"
-        try:
-            category = data.Category(_require(entry, "category", context))
-        except ValueError:
-            raise DataError(f"{context}: unknown category {entry.get('category')!r}") from None
-        profiles.append(
-            data.CategoryProfile(
-                category=category,
-                hourly_rates=tuple(_require(entry, "hourly_rates", context)),
-                demand=tuple(_require(entry, "demand", context)),
-                parking=tuple(_require(entry, "parking", context)),
-            )
+        name: _field(price, name, f"{source}: price", float, default)
+        for name, default in (
+            ("base", 12.0), ("morning_peak", 6.0), ("evening_peak", 18.0), ("noise", 1.5)
         )
-    out["profiles"] = tuple(profiles)
+    }
+    profiles = _require(document, "profiles", source)
+    if not isinstance(profiles, list):
+        raise DataError(f"{source}: field 'profiles' must be a list, got {profiles!r}")
+    out["profiles"] = tuple(
+        _parse_profile(entry, f"{source}: profiles[{i}]") for i, entry in enumerate(profiles)
+    )
     return out
+
+
+def _parse_profile(entry: dict, context: str) -> data.CategoryProfile:
+    name = _require(entry, "category", context)
+    try:
+        category = data.Category(name)
+    except (TypeError, ValueError):
+        raise DataError(f"{context}: unknown category {name!r}") from None
+    rates = _numbers(entry, "hourly_rates", context, float, 24)
+    demand = _numbers(entry, "demand", context, int, 3)
+    parking = _numbers(entry, "parking", context, int, 3)
+    try:
+        return data.CategoryProfile(category, rates, demand, parking)
+    except DataError as exc:
+        raise DataError(f"{context}: {exc}") from None
 
 
 # --- day-file loading --------------------------------------------------------
 
-def load_days(data_dir: str | Path, slots_per_hour: int = 4) -> list[tuple[str, EpisodeConfig]]:
-    """Load every dayNN_{prices,arrivals}.csv pair in a directory."""
+def load_days(data_dir: str | Path) -> list[tuple[str, EpisodeConfig]]:
+    """Load every dayNN_{prices,arrivals}.csv pair in a directory, at 15-minute slots."""
     directory = Path(data_dir)
     if not directory.is_dir():
         raise DataError(f"{directory}: not a directory")
@@ -122,7 +170,7 @@ def load_days(data_dir: str | Path, slots_per_hour: int = 4) -> list[tuple[str, 
         prices_path = directory / f"{stem}_prices.csv"
         if not prices_path.exists():
             raise DataError(f"{arrivals_path}: missing matching file {prices_path.name}")
-        series = data.load_prices(prices_path, slots_per_hour)
+        series = data.load_prices(prices_path)
         horizon = len(series.values)
         events = data.load_arrivals(arrivals_path)
         for event in events:
@@ -138,20 +186,13 @@ def load_days(data_dir: str | Path, slots_per_hour: int = 4) -> list[tuple[str, 
     return days
 
 
-def observed_max_laxity(days: Sequence[tuple[str, EpisodeConfig]]) -> int:
-    top = 0
-    for _, config in days:
-        for event in config.arrivals:
-            top = max(top, laxity(event.demand, event.parking))
-    return top
-
-
 def percent_improvement(reward_a: float, reward_b: float) -> float:
-    """Percentage by which reward_a improves on reward_b: (a-b)/|b| * 100."""
+    """Percentage by which reward_a improves on reward_b: (a-b)/|b| * 100, or
+    nan where that is undefined (a zero reward_b against a non-zero reward_a)."""
     if reward_a == reward_b:
         return 0.0
     if reward_b == 0:
-        raise ValueError("baseline reward is zero; improvement is undefined")
+        return math.nan
     return (reward_a - reward_b) / abs(reward_b) * 100.0
 
 
@@ -183,7 +224,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise DataError(f"{args.config}: invalid JSON: {exc}") from None
     else:
         document = DEFAULT_EXPERIMENT
-    experiment = parse_experiment(document)
+    experiment = parse_experiment(document, args.config or "default config")
     digest = config_hash(document)
 
     out_dir = _out_path(args.out)
@@ -217,7 +258,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     days = load_days(args.data)
     configs = [config for _, config in days]
-    max_laxity = max(observed_max_laxity(days), 1)
+    max_laxity = max([1, *map(max_arrival_laxity, configs)])
     level_cap = args.lmax
     if level_cap is not None and level_cap < 1:
         raise UsageError("--lmax must be >= 1")
@@ -295,7 +336,7 @@ def _load_evaluator(path: str) -> Callable[[EpisodeConfig], tuple[float, tuple[i
             raise ValueError(f"unknown model algo {algo!r}")
         parse, evaluate = kinds[algo]
         fields = parse(model)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from None
 
     def evaluate_day(config: EpisodeConfig) -> tuple[float, tuple[int, ...]]:
@@ -305,15 +346,6 @@ def _load_evaluator(path: str) -> Callable[[EpisodeConfig], tuple[float, tuple[i
             raise DataError(f"{path}: model does not fit this data: {exc}") from None
 
     return evaluate_day
-
-
-def _improvement_cell(reward_a: float, reward_b: float) -> str:
-    """The improvement_pct cell of `evcs compare`: "nan" where it is undefined
-    (a zero baseline reward against a non-zero one)."""
-    try:
-        return f"{percent_improvement(reward_a, reward_b):.2f}"
-    except ValueError:
-        return "nan"
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -348,7 +380,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         rewards_b.append(reward_b)
         rows.append(
             [stem, repr(float(reward_a)), repr(float(reward_b)),
-             _improvement_cell(reward_a, reward_b)]
+             f"{percent_improvement(reward_a, reward_b):.2f}"]
         )
         if out_dir is not None:
             _write_csv(
@@ -361,7 +393,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             )
     mean_a, mean_b = float(np.mean(rewards_a)), float(np.mean(rewards_b))
     rows.append(
-        ["average", repr(mean_a), repr(mean_b), _improvement_cell(mean_a, mean_b)]
+        ["average", repr(mean_a), repr(mean_b), f"{percent_improvement(mean_a, mean_b):.2f}"]
     )
     header = ["day", "reward_a", "reward_b", "improvement_pct"]
     print(",".join(header))
@@ -374,28 +406,46 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 # --- entry point -------------------------------------------------------------
 
+def _checked(kind: type, test: Callable, rule: str) -> Callable[[str], object]:
+    """An argparse type: ``kind(text)``, which must pass ``test`` (and be
+    finite, for floats); argparse reports a failure as a usage error naming
+    the flag."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not test(value) or (kind is float and not math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="evcs", description=__doc__)
+    seed = _checked(int, lambda v: v >= 0, ">= 0")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write synthetic day files")
     gen.add_argument("--config", help="experiment config (JSON); defaults built in")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=seed, default=0)
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_generate)
 
     train = sub.add_parser("train", help="train a policy on a directory of days")
     train.add_argument("--data", required=True, help="directory of day files")
     train.add_argument("--algo", choices=["pg", "qe"], default="pg")
-    train.add_argument("--iterations", type=int, default=400)
-    train.add_argument("--alpha", type=float, default=0.08)
-    train.add_argument("--sigma", type=float, default=2.0)
-    train.add_argument("--sigma-decay", type=float, default=0.995)
-    train.add_argument("--step-decay", type=float, default=0.995)
-    train.add_argument("--batch", type=int, default=0, help="days per update (0 = all)")
+    train.add_argument("--iterations", type=_checked(int, lambda v: v >= 1, ">= 1"), default=400)
+    train.add_argument("--alpha", type=_checked(float, lambda v: v >= 0, ">= 0"), default=0.08)
+    train.add_argument("--sigma", type=_checked(float, lambda v: v > 0, "> 0"), default=2.0)
+    decay = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
+    train.add_argument("--sigma-decay", type=decay, default=0.995)
+    train.add_argument("--step-decay", type=decay, default=0.995)
+    train.add_argument("--batch", type=_checked(int, lambda v: v >= 0, ">= 0"), default=0,
+                       help="days per update (0 = all)")
     train.add_argument("--lmax", type=int, default=None,
                        help="pool laxity levels >= this cap in the policy state")
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=seed, default=0)
     train.add_argument("--out", required=True, help="model file to write")
     train.set_defaults(func=cmd_train)
 

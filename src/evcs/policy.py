@@ -2,9 +2,10 @@
 score-function gradient ascent on reward-to-go estimates.
 
 The policy draws a continuous total action from a Gaussian whose mean is
-linear in the (standardized) feature vector [price, n_0, ..., n_L]; the
-environment-side projection rounds it and clamps it into the feasible range
-[zero-laxity count, parked count].  Gradients always use the raw sample.
+linear in the (standardized) feature vector [price, n_0, ..., n_{w-1},
+n_w + n_{w+1} + ...], whose width `feature_dim` fixes; the environment-side
+projection rounds it and clamps it into the feasible range [zero-laxity
+count, parked count].  Gradients always use the raw sample.
 
 The reward-to-go that weights each score must not depend on that
 trajectory's own actions through its baseline or scale, or the estimate is
@@ -19,10 +20,10 @@ rollout of a day falls back to normalizing on its own reward-to-go, which is
 biased: its own mean and spread shrink the weight of late-day costs.
 
 Training rolls all rollouts of an iteration together on a `BatchSimulator`,
-through the engine behind `rollout_batch`; a trajectory holds per-slot
-arrays.  Each row keeps the arithmetic of the one-day rollout
-`run_policy_episode` (its own noise stream and its own dot product for the
-mean), so batching leaves trained models bit-identical.  Evaluation rolls one
+through the engine behind `rollout_batch`, and so does `fit_scaler`; a
+trajectory holds per-slot arrays.  Each row keeps the arithmetic of the
+one-day rollout `run_policy_episode` (its own noise stream and its own dot
+product for the mean), so batching leaves trained models bit-identical.  Evaluation rolls one
 day at a time through `run_policy_episode`.
 """
 
@@ -36,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .agg import AggSimulator, AggState, BatchSimulator, cap_merge
+from .agg import AggSimulator, BatchSimulator, max_arrival_laxity
 from .env import EpisodeConfig
 
 
@@ -92,13 +93,15 @@ def project_action(raw: float, chargeable: int, urgent: int = 0) -> int:
     """Round the raw action and clamp it into [urgent, chargeable].
 
     The lower bound is the zero-laxity count: those EVs must charge now or
-    become impossible to finish.
+    become impossible to finish.  A non-finite raw action raises ValueError.
     """
     if not 0 <= urgent <= chargeable:
         raise ValueError(
             f"need 0 <= urgent <= chargeable, got urgent={urgent}, "
             f"chargeable={chargeable}"
         )
+    if not math.isfinite(raw):
+        raise ValueError(f"non-finite raw action {raw}")
     rounded = math.floor(raw + 0.5)
     return min(max(rounded, urgent), chargeable)
 
@@ -312,13 +315,13 @@ def destandardize(params: PolicyParams, scaler: FeatureScaler) -> PolicyParams:
     return PolicyParams(weights=w, bias=b, sigma=params.sigma)
 
 
-def raw_features(state: AggState, action_cap: int | None = None) -> np.ndarray:
-    """Feature vector [price, counts...], optionally with high levels pooled."""
-    view = state if action_cap is None else cap_merge(state, action_cap)
-    return np.array([view.price, *view.counts], dtype=float)
-
-
 def feature_dim(max_laxity: int, level_cap: int | None = None) -> int:
+    """Width w + 2 of the state [price, n_0, ..., n_{w-1}, n_w + n_{w+1} + ...],
+    where w is ``max_laxity``, or ``min(level_cap, max_laxity)`` under a cap."""
+    if max_laxity < 0:
+        raise ValueError(f"max_laxity must be >= 0, got {max_laxity}")
+    if level_cap is not None and level_cap < 1:
+        raise ValueError(f"level_cap must be >= 1 or None, got {level_cap}")
     levels = max_laxity if level_cap is None else min(level_cap, max_laxity)
     return levels + 2
 
@@ -331,15 +334,21 @@ def run_policy_episode(
     level_cap: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> Trajectory:
-    """Roll one day under the policy; ``rng=None`` runs the deterministic mean."""
-    sim = AggSimulator(config, max_laxity)
+    """Roll one day under the policy; ``rng=None`` runs the deterministic mean.
+
+    The simulator also fits arrivals of laxity above ``max_laxity``, which
+    pool into the last feature, so a model evaluates laxity it never saw.
+    """
+    w = feature_dim(max_laxity, level_cap) - 2
+    sim = AggSimulator(config, max(max_laxity, max_arrival_laxity(config)))
     state = sim.reset()
     horizon = config.horizon
     features = np.empty((horizon, params.dim))
     raw, rewards = np.empty(horizon), np.empty(horizon)
     applied = np.empty(horizon, dtype=np.int64)
     for t in range(horizon):
-        f = scaler.transform(raw_features(state, level_cap))
+        counts = state.counts
+        f = scaler.transform([state.price, *counts[:w], sum(counts[w:])])
         raw[t] = policy_mean(params, f) if rng is None else sample_action(params, f, rng)
         features[t] = f
         applied[t] = project_action(raw[t], sim.chargeable, sim.urgent)
@@ -411,8 +420,6 @@ def _roll(
 ) -> list[Trajectory]:
     """Drive every row of a reset simulator to its horizon."""
     dim = feature_dim(sim.max_laxity, level_cap)
-    if level_cap is not None and level_cap < 1:
-        raise ValueError(f"cap must be >= 1, got {level_cap}")
     if params.dim != dim or scaler.dim != dim:
         raise ValueError(
             f"policy dimension {params.dim} and scaler dimension {scaler.dim} "
@@ -425,16 +432,13 @@ def _roll(
     if rngs is not None:
         # the same values as one scalar draw per slot
         noise = params.sigma * np.array([rng.standard_normal(horizon) for rng in rngs])
-    pooled = level_cap is not None and level_cap < sim.max_laxity
-    row = np.empty((batch, dim))  # [price, counts...] as raw_features builds it
+    w = dim - 2
+    row = np.empty((batch, dim))
     counts = sim.counts
     for t in range(horizon):
         row[:, 0] = sim.price
-        if pooled:
-            row[:, 1:-1] = counts[:, :level_cap]
-            row[:, -1] = counts[:, level_cap:].sum(axis=1)
-        else:
-            row[:, 1:] = counts
+        row[:, 1:-1] = counts[:, :w]
+        row[:, -1] = counts[:, w:].sum(axis=1)
         f = scaler.transform(row)
         features[:, t] = f
         # one dot product per row, as policy_mean takes it: a matrix-vector
@@ -454,17 +458,15 @@ def fit_scaler(
     max_laxity: int,
     level_cap: int | None = None,
 ) -> FeatureScaler:
-    """Fit standardization constants from urgent-only rollouts of the training days."""
-    rows = []
-    for config in day_configs:
-        sim = AggSimulator(config, max_laxity)
-        state = sim.reset()
-        for _ in range(config.horizon):
-            rows.append(raw_features(state, level_cap))
-            state, _ = sim.step(sim.urgent)
-    if not rows:
-        return FeatureScaler.identity(feature_dim(max_laxity, level_cap))
-    return FeatureScaler.fit(rows)
+    """Fit standardization constants from urgent-only rollouts of the training
+    days: the linear policy a = n_0 on unscaled features, whose mean is
+    exactly n_0, so rounding and clamping keep it."""
+    dim = feature_dim(max_laxity, level_cap)
+    urgent_only = PolicyParams(np.eye(dim)[1], 0.0, 1.0)
+    identity = FeatureScaler.identity(dim)
+    rolled = rollout_batch(day_configs, urgent_only, identity, max_laxity, level_cap)
+    rows = np.concatenate([traj.features for traj in rolled] or [np.empty((0, dim))])
+    return FeatureScaler.fit(rows) if len(rows) else identity
 
 
 @dataclass(frozen=True)
@@ -649,14 +651,13 @@ def require_fields(model: dict, names: Sequence[str]) -> None:
 
 
 def pg_from_model(model: dict) -> tuple[PolicyParams, FeatureScaler, int, int | None]:
-    """Parse a PG model dict; a missing field, a ``level_cap`` below 1 or a
-    vector whose length is not ``feature_dim(max_laxity, level_cap)`` raises
-    ValueError naming the field."""
+    """Parse a PG model dict; a missing field, a negative ``max_laxity``, a
+    ``level_cap`` below 1, a vector whose length is not
+    ``feature_dim(max_laxity, level_cap)``, a non-finite number or a
+    ``feature_std`` entry <= 0 raises ValueError naming the field."""
     require_fields(model, ("weights", "bias", "sigma", "feature_mean", "feature_std", "max_laxity"))
     max_laxity = int(model["max_laxity"])
     level_cap = None if model.get("level_cap") is None else int(model["level_cap"])
-    if level_cap is not None and level_cap < 1:
-        raise ValueError(f"field 'level_cap' must be >= 1 or null, got {level_cap}")
     dim = feature_dim(max_laxity, level_cap)
     vectors = {}
     for name in ("weights", "feature_mean", "feature_std"):
@@ -666,7 +667,13 @@ def pg_from_model(model: dict) -> tuple[PolicyParams, FeatureScaler, int, int | 
                 f"field '{name}' has shape {vectors[name].shape}, expected ({dim},) "
                 f"for max_laxity {max_laxity} and level_cap {level_cap}"
             )
-    params = PolicyParams(weights=vectors["weights"], bias=model["bias"], sigma=model["sigma"])
+    bias, sigma = float(model["bias"]), float(model["sigma"])
+    for name, value in (*vectors.items(), ("bias", bias), ("sigma", sigma)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"field '{name}' has non-finite entries")
+    if not np.all(vectors["feature_std"] > 0):
+        raise ValueError("field 'feature_std' has entries <= 0")
+    params = PolicyParams(weights=vectors["weights"], bias=bias, sigma=sigma)
     scaler = FeatureScaler(mean=vectors["feature_mean"], std=vectors["feature_std"])
     return params, scaler, max_laxity, level_cap
 

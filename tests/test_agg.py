@@ -9,7 +9,6 @@ from evcs.agg import (
     BatchSimulator,
     agg_transition,
     aggregate,
-    cap_merge,
     group_allocate,
 )
 from evcs.env import ArrivalEvent, ChargingEnv, EpisodeConfig, EvRecord, StationState, arrival_schedule
@@ -116,27 +115,6 @@ def test_transition_errors():
         agg_transition(state, 2, (0, 0), (0, 2), 1.0)
     with pytest.raises(ValueError, match="length"):
         agg_transition(state, 2, (0,), (0, 0), 1.0)
-
-
-def test_cap_merge():
-    state = AggState(1.0, (1, 2, 0, 3, 4))
-    assert cap_merge(state, 2).counts == (1, 2, 7)
-    assert cap_merge(state, 4) is state
-    assert cap_merge(state, 9) is state
-    lone = AggState(1.0, (3, 0, 0))
-    assert cap_merge(lone, 1).counts == (3, 0)
-    with pytest.raises(ValueError):
-        cap_merge(state, 0)
-
-
-@settings(max_examples=150)
-@given(st.lists(st.integers(0, 5), min_size=2, max_size=14), st.integers(1, 15))
-def test_cap_merge_preserves_total(counts, cap):
-    state = AggState(2.0, counts)
-    merged = cap_merge(state, cap)
-    assert merged.total == state.total
-    keep = min(cap, state.max_level)
-    assert merged.counts[:keep] == state.counts[:keep]
 
 
 def _urgent_respecting_controller(seed):

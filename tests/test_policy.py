@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evcs.agg import AggSimulator
+from evcs.baseline import QeFeatureConfig, QeParams, evaluate_qe
 from evcs.env import ArrivalEvent, EpisodeConfig
 from evcs.policy import (
     DivergenceError,
@@ -350,6 +351,33 @@ def test_rollout_batch_rows_equal_single_day_rollouts(seed, level_cap):
         )
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([None, 1, 2, 4, 9]))
+def test_fit_scaler_equals_urgent_only_reference_loop(seed, level_cap):
+    """fit_scaler rolls the days on the batch engine at a = n_0; urgent-only
+    dispatch stepped day by day on AggSimulator gives the same rows, so the
+    same scaler bytes (mixed horizons, an empty day, a horizon-0 day)."""
+    rng = np.random.default_rng(seed)
+    max_laxity = 7
+    days = [random_instance(rng, max_evs=6, horizon=8) for _ in range(4)]
+    days += [EpisodeConfig(5, (3.0, 1.0, 4.0, 1.0, 5.0, 9.0)), EpisodeConfig(0, (2.0,))]
+    w = feature_dim(max_laxity, level_cap) - 2
+    rows = []
+    for day in days:
+        sim = AggSimulator(day, max_laxity)
+        state = sim.reset()
+        for _ in range(day.horizon):
+            rows.append([state.price, *state.counts[:w], sum(state.counts[w:])])
+            state, _ = sim.step(sim.urgent)
+    want = FeatureScaler.fit(rows)
+    got = fit_scaler(days, max_laxity, level_cap)
+    assert got.mean.tobytes() == want.mean.tobytes()
+    assert got.std.tobytes() == want.std.tobytes()
+    for no_rows in ([], days[-1:]):
+        empty = fit_scaler(no_rows, max_laxity, level_cap)
+        assert np.array_equal(empty.mean, np.zeros(w + 2)) and np.array_equal(empty.std, np.ones(w + 2))
+
+
 def test_rollout_batch_validation():
     cfg = _toy_day()
     scaler = fit_scaler([cfg], max_laxity=2)
@@ -484,3 +512,53 @@ def test_feature_dim_with_cap():
     assert feature_dim(12) == 14
     assert feature_dim(12, 6) == 8
     assert feature_dim(2, 6) == 4
+
+
+def _slot0_features(counts, level_cap, price=2.0):
+    """Slot-0 policy state of a day whose t=0 arrivals have the given laxity
+    counts, at an identity scaler; both rollout engines must agree on it."""
+    arrivals = tuple(
+        ArrivalEvent(0, 1, 1 + level) for level, n in enumerate(counts) for _ in range(n)
+    )
+    day = EpisodeConfig(1, (price, price), arrivals)
+    max_laxity = len(counts) - 1
+    dim = feature_dim(max_laxity, level_cap)
+    params, scaler = PolicyParams(np.zeros(dim), 0.0, 1.0), FeatureScaler.identity(dim)
+    one = run_policy_episode(day, params, scaler, max_laxity, level_cap).features[0]
+    batched = rollout_batch([day], params, scaler, max_laxity, level_cap)[0].features[0]
+    assert np.array_equal(one, batched)
+    return one.tolist()
+
+
+def test_features_pool_high_levels():
+    counts = (1, 2, 0, 3, 4)
+    assert _slot0_features(counts, 2) == [2.0, 1, 2, 7]
+    for cap in (None, 4, 9):
+        assert _slot0_features(counts, cap) == [2.0, 1, 2, 0, 3, 4]
+    assert _slot0_features((3, 0, 0), 1) == [2.0, 3, 0]
+    with pytest.raises(ValueError, match="level_cap"):
+        _slot0_features(counts, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=2, max_size=14), st.integers(1, 15))
+def test_features_pooling_preserves_total(counts, cap):
+    features = _slot0_features(counts, cap)
+    assert sum(features[1:]) == sum(counts)
+    keep = min(cap, len(counts) - 1)
+    assert features[1 : 1 + keep] == counts[:keep]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_unseen_high_laxity_pools_into_top_feature(seed):
+    """A model of laxity <= 3 evaluates a day with laxity up to 9 as a
+    laxity-9 model capped at 3 does, and the QE greedy ignores the range."""
+    rng = np.random.default_rng(seed)
+    day = random_instance(rng, max_evs=6, horizon=10)
+    day = EpisodeConfig(day.horizon, day.prices, day.arrivals + (ArrivalEvent(0, 1, 10),))
+    scaler = fit_scaler([day], 9, 3)
+    params = PolicyParams(rng.normal(size=feature_dim(3)), float(rng.normal()), 1.0)
+    assert evaluate_policy(day, params, scaler, 3) == evaluate_policy(day, params, scaler, 9, level_cap=3)
+    theta, feature_config = QeParams(rng.normal(size=4)), QeFeatureConfig(congestion_count=2)
+    assert evaluate_qe(day, theta, feature_config, 3) == evaluate_qe(day, theta, feature_config, 9)
