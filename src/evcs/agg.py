@@ -33,9 +33,10 @@ class AggState:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
-        if any(n < 0 for n in self.counts):
-            raise ValueError(f"laxity counts must be >= 0, got {self.counts}")
+        counts = tuple(map(int, self.counts))
+        object.__setattr__(self, "counts", counts)
+        if min(counts, default=0) < 0:
+            raise ValueError(f"laxity counts must be >= 0, got {counts}")
 
     @property
     def total(self) -> int:

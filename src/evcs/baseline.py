@@ -6,6 +6,14 @@ station, operating while congested), fitted episode-by-episode with
 Bellman-optimality temporal-difference updates and epsilon-greedy rollouts.
 The feature set is a reconstruction: it mirrors the cost/constraint flavour
 of the original design but is not a numerical replica of it.
+
+The per-slot arithmetic runs on Python floats: features are 4-tuples of
+0.0/1.0, the value is ``0.0 + t0*f0 + t1*f1 + t2*f2 + t3*f3`` and the
+update is ``t_i + (step_size * delta) * f_i``.  Those are the operations, in
+the order, of numpy's 4-element dot and of ``theta + step_size * delta *
+features``, so values and trained coefficients equal the numpy formulation
+bit for bit (tests/test_baseline.py pins both); numpy arrays appear only per
+episode and in ``QeParams``.
 """
 
 from __future__ import annotations
@@ -44,12 +52,26 @@ class QeFeatureConfig:
     """Knobs for the binary features.
 
     ``price_threshold=None`` means "use the median of the day's prices",
-    computed once per rollout.  ``congestion_count`` is the parked-EV count
+    computed once per day.  ``congestion_count`` is the parked-EV count
     above which the station is considered congested.
     """
 
     price_threshold: float | None = None
     congestion_count: int = 12
+
+
+Features = tuple[float, float, float, float]
+
+
+def _features(dear: bool, congested: bool, action: int, urgent: int, chargeable: int) -> Features:
+    """The four features of ``action``, given the slot's price flag
+    (price above the threshold) and congestion flag."""
+    return (
+        1.0 if (dear and action > 0) else 0.0,
+        1.0 if action < urgent else 0.0,
+        1.0 if (chargeable > 0 and action == chargeable) else 0.0,
+        1.0 if congested else 0.0,
+    )
 
 
 def qe_features(
@@ -59,41 +81,35 @@ def qe_features(
     chargeable: int,
     price_threshold: float,
     congestion_count: int = 12,
-) -> np.ndarray:
-    """Binary feature vector for one (state, action) pair.
+) -> Features:
+    """Binary features of one (state, action) pair, as 0.0/1.0 floats.
 
     f0: charging while the price is above the threshold
     f1: action below the zero-laxity count (deadline-violation risk)
     f2: every parked EV charged (saturation; inactive on an empty station)
     f3: more EVs parked than the congestion threshold
     """
-    return np.array(
-        [
-            1.0 if (state.price > price_threshold and action > 0) else 0.0,
-            1.0 if action < urgent else 0.0,
-            1.0 if (chargeable > 0 and action == chargeable) else 0.0,
-            1.0 if state.total > congestion_count else 0.0,
-        ]
+    return _features(
+        state.price > price_threshold, state.total > congestion_count,
+        action, urgent, chargeable,
     )
 
 
 def qe_value(theta: Sequence[float] | QeParams, features: Sequence[float]) -> float:
-    th = theta.theta if isinstance(theta, QeParams) else np.asarray(theta, dtype=float)
-    f = np.asarray(features, dtype=float)
-    if th.shape != f.shape:
-        raise ValueError(f"theta shape {th.shape} does not match features {f.shape}")
-    return float(th @ f)
+    """theta . features, summed left to right from +0.0 as numpy's dot of
+    two 4-element float64 vectors sums, so the two agree bit for bit."""
+    if isinstance(theta, QeParams):
+        theta = theta.theta.tolist()
+    t0, t1, t2, t3 = theta
+    f0, f1, f2, f3 = features
+    return 0.0 + t0 * f0 + t1 * f1 + t2 * f2 + t3 * f3
 
 
-def qe_greedy_action(
-    theta: Sequence[float] | QeParams,
-    state: AggState,
-    urgent: int,
-    chargeable: int,
-    price_threshold: float,
-    congestion_count: int = 12,
-) -> int:
-    """Highest-value feasible action; ties resolve to the smallest action.
+def _greedy(
+    theta: Sequence[float], dear: bool, congested: bool, urgent: int, chargeable: int
+) -> tuple[int, float]:
+    """(action, value) of the highest-value feasible action; ties resolve
+    to the smallest action.
 
     On the feasible range [urgent, chargeable], f1 is always 0 and f3 does
     not depend on the action; f0 changes only between actions 0 and 1, and
@@ -105,28 +121,52 @@ def qe_greedy_action(
     if urgent > chargeable:
         raise ValueError("empty feasible action set: urgent exceeds chargeable")
     best_action = urgent
-    best_value = None
-    for action in sorted({urgent, min(max(urgent, 1), chargeable), chargeable}):
-        value = qe_value(
-            theta,
-            qe_features(state, action, urgent, chargeable, price_threshold, congestion_count),
-        )
-        if best_value is None or value > best_value:
-            best_action, best_value = action, value
-    return best_action
+    best_value = qe_value(theta, _features(dear, congested, urgent, urgent, chargeable))
+    middle = 1 if urgent == 0 < chargeable else urgent  # min(max(urgent, 1), chargeable)
+    if middle > urgent:
+        value = qe_value(theta, _features(dear, congested, middle, urgent, chargeable))
+        if value > best_value:
+            best_action, best_value = middle, value
+    if chargeable > middle:
+        value = qe_value(theta, _features(dear, congested, chargeable, urgent, chargeable))
+        if value > best_value:
+            best_action, best_value = chargeable, value
+    return best_action, best_value
+
+
+def qe_greedy_action(
+    theta: Sequence[float] | QeParams,
+    state: AggState,
+    urgent: int,
+    chargeable: int,
+    price_threshold: float,
+    congestion_count: int = 12,
+) -> int:
+    """Highest-value feasible action; ties resolve to the smallest action."""
+    if isinstance(theta, QeParams):
+        theta = theta.theta.tolist()
+    return _greedy(
+        theta, state.price > price_threshold, state.total > congestion_count,
+        urgent, chargeable,
+    )[0]
 
 
 def td_step(
-    theta: np.ndarray,
-    features: np.ndarray,
+    theta: Sequence[float],
+    features: Sequence[float],
     reward: float,
     next_best_value: float,
     discount: float,
     step_size: float,
-) -> np.ndarray:
-    """One semi-gradient update toward the Bellman-optimality target."""
-    delta = reward + discount * next_best_value - float(theta @ features)
-    return theta + step_size * delta * features
+) -> Features:
+    """One semi-gradient update toward the Bellman-optimality target:
+    ``theta_i + (step_size * delta) * f_i``, numpy's association of
+    ``theta + step_size * delta * features``."""
+    delta = reward + discount * next_best_value - qe_value(theta, features)
+    step = step_size * delta
+    t0, t1, t2, t3 = theta
+    f0, f1, f2, f3 = features
+    return (t0 + step * f0, t1 + step * f1, t2 + step * f2, t3 + step * f3)
 
 
 @dataclass
@@ -159,64 +199,58 @@ def qe_train(
     if not day_configs:
         raise ValueError("need at least one training day")
     rng = np.random.default_rng(config.seed)
-    theta = np.zeros(N_FEATURES)
+    # the days that round-robin visits, each simulator built once
+    days = [
+        (AggSimulator(day, max_laxity), _day_threshold(day, feature_config))
+        for day in day_configs[: config.iterations]
+    ]
+    congestion_count = feature_config.congestion_count
+    discount, step_size = config.discount, config.step_size
+    theta: Features = (0.0,) * N_FEATURES
     curve = []
     trace = []
     half = max(1, config.iterations // 2)
 
     for episode in range(config.iterations):
-        day = day_configs[episode % len(day_configs)]
-        threshold = _day_threshold(day, feature_config)
+        sim, threshold = days[episode % len(days)]
         epsilon = max(
             EPS_END, EPS_START + (EPS_END - EPS_START) * episode / half
         )
-        sim = AggSimulator(day, max_laxity)
         state = sim.reset()
+        horizon = sim.config.horizon
         episode_reward = 0.0
-        for _ in range(day.horizon):
+        for _ in range(horizon):
+            # chargeable counts every parked EV, the state's total
             urgent, chargeable = sim.urgent, sim.chargeable
+            dear, congested = state.price > threshold, chargeable > congestion_count
             if rng.random() < epsilon:
                 action = int(rng.integers(urgent, chargeable + 1))
             else:
-                action = qe_greedy_action(
-                    theta, state, urgent, chargeable, threshold,
-                    feature_config.congestion_count,
-                )
-            features = qe_features(
-                state, action, urgent, chargeable, threshold,
-                feature_config.congestion_count,
-            )
+                action = _greedy(theta, dear, congested, urgent, chargeable)[0]
+            features = _features(dear, congested, action, urgent, chargeable)
             state, reward = sim.step(action)
             episode_reward += reward
-            if sim.t >= day.horizon:
+            if sim.t >= horizon:
                 next_best = 0.0
             else:
-                next_urgent, next_chargeable = sim.urgent, sim.chargeable
-                best_action = qe_greedy_action(
-                    theta, state, next_urgent, next_chargeable, threshold,
-                    feature_config.congestion_count,
-                )
-                next_best = qe_value(
-                    theta,
-                    qe_features(
-                        state, best_action, next_urgent, next_chargeable,
-                        threshold, feature_config.congestion_count,
-                    ),
-                )
-            theta = td_step(
-                theta, features, reward, next_best, config.discount, config.step_size
-            )
-        norm = float(np.linalg.norm(theta))
+                next_chargeable = sim.chargeable
+                next_best = _greedy(
+                    theta, state.price > threshold, next_chargeable > congestion_count,
+                    sim.urgent, next_chargeable,
+                )[1]
+            theta = td_step(theta, features, reward, next_best, discount, step_size)
+        theta_array = np.array(theta)
+        norm = float(np.linalg.norm(theta_array))
         if not np.isfinite(norm) or norm > config.divergence_bound:
             raise DivergenceError(
                 f"theta norm {norm:.3g} exceeded the divergence bound "
                 f"{config.divergence_bound:.3g} at episode {episode}"
             )
         curve.append(episode_reward)
-        trace.append(theta.copy())
+        trace.append(theta_array)
 
     return QeTrainResult(
-        params=QeParams(theta),
+        params=QeParams(theta_array),
         feature_config=feature_config,
         curve=np.array(curve),
         param_trace=np.array(trace),
@@ -232,17 +266,18 @@ def evaluate_qe(
 ) -> tuple[float, tuple[int, ...]]:
     """Greedy (epsilon = 0) evaluation: total reward and per-slot actions.
 
-    The simulator is sized to the day's highest arrival laxity where that
-    exceeds ``max_laxity``; the features read no per-level count.
+    The features read no per-level count, so the simulator is sized to the
+    day's highest arrival laxity and ``max_laxity`` is not used.
     """
     threshold = _day_threshold(config, feature_config)
-    sim = AggSimulator(config, max(max_laxity, max_arrival_laxity(config)))
+    theta = params.theta.tolist()
+    sim = AggSimulator(config, max_arrival_laxity(config))
     state = sim.reset()
     total = 0.0
     actions = []
     for _ in range(config.horizon):
         action = qe_greedy_action(
-            params, state, sim.urgent, sim.chargeable, threshold,
+            theta, state, sim.urgent, sim.chargeable, threshold,
             feature_config.congestion_count,
         )
         state, reward = sim.step(action)

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from evcs.agg import agg_transition, group_allocate
+from evcs.agg import AggSimulator, agg_transition, group_allocate
 from evcs.env import ArrivalEvent, ChargingEnv, EpisodeConfig, arrival_schedule
 from evcs.llf import laxity, llf_allocate
 
@@ -232,3 +232,61 @@ def dp_value_aggregated(
         start_levels[lv].append((ev_id, demand))
     start = tuple(tuple(sorted(level)) for level in start_levels)
     return value(0, start_price_idx, start)
+
+
+def qe_train_numpy(day_configs, config, feature_config, max_laxity):
+    """``baseline.qe_train`` as a numpy loop: (theta, param_trace, curve).
+
+    Features are float64 vectors, values ``theta @ features``, the update
+    ``theta + step_size * delta * features``, and the greedy action a scan
+    of every feasible action.  The counts come from ``AggSimulator``, so
+    this pins the learner's arithmetic, not the rollout engine.
+    """
+    congestion_count = feature_config.congestion_count
+
+    def features(price, total, action, urgent, chargeable, threshold):
+        return np.array([
+            1.0 if (price > threshold and action > 0) else 0.0,
+            1.0 if action < urgent else 0.0,
+            1.0 if (chargeable > 0 and action == chargeable) else 0.0,
+            1.0 if total > congestion_count else 0.0,
+        ])
+
+    def greedy(theta, sim, threshold):
+        state, urgent, chargeable = sim.state, sim.urgent, sim.chargeable
+        best = None
+        for action in range(urgent, chargeable + 1):
+            phi = features(state.price, state.total, action, urgent, chargeable, threshold)
+            value = float(theta @ phi)
+            if best is None or value > best[1]:
+                best = (action, value)
+        return best
+
+    rng = np.random.default_rng(config.seed)
+    theta = np.zeros(4)
+    curve, trace = [], []
+    half = max(1, config.iterations // 2)
+    for episode in range(config.iterations):
+        day = day_configs[episode % len(day_configs)]
+        threshold = feature_config.price_threshold
+        if threshold is None:
+            threshold = float(np.median(day.prices[: day.horizon]))
+        epsilon = max(0.05, 1.0 + (0.05 - 1.0) * episode / half)
+        sim = AggSimulator(day, max_laxity)
+        state = sim.reset()
+        episode_reward = 0.0
+        for _ in range(day.horizon):
+            urgent, chargeable = sim.urgent, sim.chargeable
+            if rng.random() < epsilon:
+                action = int(rng.integers(urgent, chargeable + 1))
+            else:
+                action = greedy(theta, sim, threshold)[0]
+            phi = features(state.price, state.total, action, urgent, chargeable, threshold)
+            state, reward = sim.step(action)
+            episode_reward += reward
+            next_best = 0.0 if sim.t >= day.horizon else greedy(theta, sim, threshold)[1]
+            delta = reward + config.discount * next_best - float(theta @ phi)
+            theta = theta + config.step_size * delta * phi
+        curve.append(episode_reward)
+        trace.append(theta.copy())
+    return theta, np.array(trace), np.array(curve)

@@ -444,9 +444,12 @@ def test_c11_cmd_train_is_byte_deterministic(tmp_path):
     assert evcs_main(
         ["generate", "--config", str(config_path), "--seed", "5", "--out", str(data_dir)]
     ) == 0
-    args = ["train", "--data", str(data_dir), "--algo", "pg",
-            "--iterations", "8", "--seed", "7"]
-    first, second = tmp_path / "one.json", tmp_path / "two.json"
-    assert evcs_main(args + ["--out", str(first)]) == 0
-    assert evcs_main(args + ["--out", str(second)]) == 0
-    assert first.read_bytes() == second.read_bytes()
+    for algo, iterations in (("pg", "8"), ("qe", "40")):
+        args = ["train", "--data", str(data_dir), "--algo", algo,
+                "--iterations", iterations, "--seed", "7"]
+        first, second = tmp_path / f"{algo}_one.json", tmp_path / f"{algo}_two.json"
+        assert evcs_main(args + ["--out", str(first)]) == 0
+        assert evcs_main(args + ["--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes(), algo
+        curves = [path.with_name(path.stem + "_curve.csv") for path in (first, second)]
+        assert curves[0].read_bytes() == curves[1].read_bytes(), algo

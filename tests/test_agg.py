@@ -83,6 +83,15 @@ def test_group_allocate_matches_per_ev_llf_tallies(data):
     assert tuple(tallies) == group_allocate(total, counts)
 
 
+def test_agg_state_coerces_counts_and_rejects_negatives():
+    state = AggState(2.0, [np.int64(3), 0, 1.0])
+    assert state.counts == (3, 0, 1) and all(type(n) is int for n in state.counts)
+    assert state.total == 4 and state.max_level == 2
+    assert AggState(2.0, ()).total == 0
+    with pytest.raises(ValueError, match="laxity counts must be >= 0"):
+        AggState(2.0, (1, -1, 0))
+
+
 def test_transition_full_charge_preserves_levels():
     state = AggState(5.0, (0, 1, 1))
     nxt = agg_transition(state, 2, (0, 0, 0), (0, 0, 0), 6.0)

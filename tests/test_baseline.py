@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,16 +20,16 @@ from evcs.baseline import (
     qe_value,
     td_step,
 )
+from evcs.data import DEFAULT_PROFILES, gen_day, gen_prices
 from evcs.env import ArrivalEvent, EpisodeConfig
 from evcs.policy import DivergenceError, TrainConfig, load_model, save_model
+
+from oracles import qe_train_numpy
 
 
 def test_features_inactive_on_empty_station():
     state = AggState(5.0, (0, 0, 0))
-    assert np.array_equal(
-        qe_features(state, 0, urgent=0, chargeable=0, price_threshold=4.0),
-        np.zeros(N_FEATURES),
-    )
+    assert qe_features(state, 0, urgent=0, chargeable=0, price_threshold=4.0) == (0.0,) * N_FEATURES
 
 
 def test_features_cost_flag():
@@ -59,6 +62,43 @@ def test_value():
     assert qe_value(np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 0, 1.0, 0])) == 4.0
     with pytest.raises(ValueError):
         qe_value(np.zeros(3), np.zeros(4))
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+def test_value_equals_numpy_dot_bit_for_bit():
+    """The float value sums theta_i * f_i left to right from +0.0, which is
+    what numpy's dot of two 4-element float64 vectors computes.  Training
+    is byte-identical to its numpy formulation only while this holds."""
+    rng = np.random.default_rng(0)
+    patterns = list(itertools.product((0.0, 1.0), repeat=N_FEATURES))
+    thetas = [
+        rng.choice([-1.0, 1.0], N_FEATURES) * 10.0 ** rng.uniform(-3, 3, N_FEATURES)
+        for _ in range(2000)
+    ]
+    thetas += [np.array(t) for t in itertools.product((-0.0, 0.0, -1.5, 2.25), repeat=N_FEATURES)]
+    for theta in thetas:
+        for features in patterns:
+            expected = _bits(np.asarray(theta) @ np.asarray(features))
+            assert _bits(qe_value(tuple(theta.tolist()), features)) == expected, (theta, features)
+            assert _bits(qe_value(QeParams(theta), features)) == expected, (theta, features)
+
+
+def test_td_step_equals_numpy_update_bit_for_bit():
+    rng = np.random.default_rng(1)
+    patterns = list(itertools.product((0.0, 1.0), repeat=N_FEATURES))
+    for _ in range(500):
+        theta = rng.normal(size=N_FEATURES) * 10.0 ** rng.uniform(-3, 3)
+        features = patterns[int(rng.integers(len(patterns)))]
+        reward, next_best = -float(rng.uniform(0, 300)), float(rng.normal(scale=100))
+        discount, step_size = float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.001, 0.1))
+        phi = np.asarray(features)
+        delta = reward + discount * next_best - float(theta @ phi)
+        expected = theta + step_size * delta * phi
+        got = td_step(tuple(theta.tolist()), features, reward, next_best, discount, step_size)
+        assert [_bits(v) for v in got] == [_bits(v) for v in expected]
 
 
 def test_greedy_tie_rule_and_single_action():
@@ -159,7 +199,53 @@ def test_td_fixed_point_matches_exact_q_on_two_state_mdp():
         next_best = max(float(theta @ one_hot(s2, b)) for b in (0, 1))
         theta = td_step(theta, one_hot(s, a), reward[s, a], next_best, gamma, 1.0)
         s = s2
-    assert np.allclose(theta.reshape(2, 2), q_star, atol=1e-6)
+    assert np.allclose(np.reshape(theta, (2, 2)), q_star, atol=1e-6)
+
+
+def _paper_days(seed: int, n: int, rate_factor: float = 1.0) -> list[EpisodeConfig]:
+    rng = np.random.default_rng(seed)
+    profiles = [
+        replace(p, hourly_rates=[rate_factor * r for r in p.hourly_rates])
+        for p in DEFAULT_PROFILES
+    ]
+    days = []
+    for _ in range(n):
+        slot_prices = [p for p in gen_prices(rng) for _ in range(4)]
+        days.append(EpisodeConfig(
+            96, tuple(slot_prices) + (slot_prices[-1],), tuple(gen_day(profiles, rng))
+        ))
+    return days
+
+
+@pytest.mark.parametrize(
+    "days, config, feature_config",
+    [
+        *[
+            (_paper_days(seed, 4), TrainConfig(step_size=0.01, iterations=24, seed=seed),
+             QeFeatureConfig())
+            for seed in (1, 2, 3)
+        ],
+        # a 3x-rate busy station, congested above 4 parked EVs
+        (_paper_days(11, 2, rate_factor=3.0),
+         TrainConfig(step_size=0.01, iterations=12, seed=5),
+         QeFeatureConfig(congestion_count=4)),
+        (_paper_days(12, 3), TrainConfig(step_size=0.02, iterations=18, discount=0.9, seed=9),
+         QeFeatureConfig(price_threshold=15.0)),
+    ],
+    ids=["paper-seed1", "paper-seed2", "paper-seed3", "busy", "discounted-fixed-threshold"],
+)
+def test_train_equals_numpy_oracle_byte_for_byte(days, config, feature_config):
+    """theta, param_trace and curve match the numpy TD loop of
+    ``oracles.qe_train_numpy`` byte for byte, through the epsilon-greedy
+    phase and well into the greedy one."""
+    result = qe_train(days, config, feature_config, max_laxity=12)
+    theta, trace, curve = qe_train_numpy(days, config, feature_config, 12)
+    assert result.params.theta.tobytes() == theta.tobytes()
+    assert result.param_trace.tobytes() == trace.tobytes()
+    assert result.curve.tobytes() == curve.tobytes()
+    # every learned coefficient moved except the deadline-risk one, which
+    # feasible actions never fire
+    assert np.all(theta[[0, 2, 3]] != 0.0) and theta[1] == 0.0
 
 
 def _tiny_day(prices=(1.0, 9.0, 1.0)) -> EpisodeConfig:

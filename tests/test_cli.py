@@ -219,6 +219,26 @@ def test_eval_model_of_smaller_laxity_range_pools_unseen_levels(tmp_path, capsys
     assert capsys.readouterr().out.startswith("day,reward\nday00,")
 
 
+def test_eval_qe_model_ignores_its_max_laxity(tmp_path, capsys):
+    """QE features read no per-level count, so evaluation sizes its simulator
+    to the day alone: a hand-edited max_laxity of 10**9 allocates nothing
+    and evaluates exactly as the same model at 12."""
+    data_dir = _generate(tmp_path)
+    model_path = tmp_path / "qe.json"
+    main(["train", "--data", str(data_dir), "--algo", "qe", "--iterations", "40",
+          "--alpha", "0.02", "--seed", "1", "--out", str(model_path)])
+    model = json.loads(model_path.read_text())
+    outputs = []
+    for max_laxity in (12, 10**9):
+        model["max_laxity"] = max_laxity
+        model_path.write_text(json.dumps(model))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_path), "--data", str(data_dir)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith("day,reward\nday00,")
+    assert outputs[1] == outputs[0]
+
+
 def _one_ev_day(tmp_path):
     """Two hours, priced 5.0 in hour 0 and 0.0 after; one EV of laxity 7
     arrives at slot 0 and needs one unit of charge."""
