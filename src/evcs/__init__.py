@@ -7,7 +7,7 @@ learns total-action policies with a linear Gaussian policy-gradient method
 or an approximate-Q baseline.
 """
 
-from .agg import AggSimulator, AggState, BatchSimulator, agg_transition, aggregate, group_allocate
+from .agg import AggSimulator, AggState, BatchSimulator, aggregate
 from .env import (
     ArrivalEvent,
     Category,
@@ -16,10 +16,9 @@ from .env import (
     EpisodeResult,
     EvRecord,
     StationState,
-    feasibility_invariant,
     run_episode,
 )
-from .llf import exists_feasible_individual_schedule, laxities, laxity, llf_allocate, llf_controller
+from .llf import laxity, llf_allocate, llf_controller
 from .policy import (
     DivergenceError,
     FeatureScaler,
@@ -28,7 +27,6 @@ from .policy import (
     Trajectory,
     estimate_gradient,
     estimate_returns,
-    log_prob_grad,
     normalize_returns,
     pg_update,
     project_action,

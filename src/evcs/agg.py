@@ -1,11 +1,14 @@
-"""Grouping parked EVs by laxity level: counts-based state, greedy group
-allocation of the total budget, and the group-count transition.
+"""Grouping parked EVs by laxity level: the counts-based state and the two
+rollout engines that publish it.
 
 A station state collapses to (price, n_0, ..., n_L) where n_l counts the
 parked EVs with laxity l.  Charged EVs keep their laxity, idle EVs drop one
 level, so the counts evolve by a simple shift-and-add rule once the total
 budget is split greedily from level 0 upward --- the same split the per-EV
-least-laxity-first dispatch induces.
+least-laxity-first dispatch induces.  That greedy group allocation and the
+group-count transition are written out in ``tests/oracles.py``
+(``group_allocate``, ``agg_transition``), where the exact dynamic programme
+over counts uses them to check this module against the per-EV simulator.
 
 The count vector alone cannot predict departures (those depend on remaining
 demands inside each level), so `AggSimulator` keeps the parked EVs as one
@@ -43,10 +46,6 @@ class AggState:
         """Number of parked EVs."""
         return sum(self.counts)
 
-    @property
-    def max_level(self) -> int:
-        return len(self.counts) - 1
-
 
 def aggregate(state: StationState, max_laxity: int) -> AggState:
     """Collapse a station state to per-laxity-level counts."""
@@ -60,63 +59,6 @@ def aggregate(state: StationState, max_laxity: int) -> AggState:
             )
         counts[level] += 1
     return AggState(state.price, tuple(counts))
-
-
-def group_allocate(total: int, counts: Sequence[int]) -> tuple[int, ...]:
-    """Split a total charging budget greedily from laxity level 0 upward.
-
-    Fills each level completely before touching the next, so the cumulative
-    allocation up to level l is min(total, cumulative count up to l).
-    """
-    if total < 0:
-        raise ValueError(f"total charging budget must be >= 0, got {total}")
-    available = sum(counts)
-    if total > available:
-        raise ValueError(f"budget {total} exceeds the {available} parked EVs")
-    charged = []
-    remaining = total
-    for n in counts:
-        x = min(int(n), remaining)
-        charged.append(x)
-        remaining -= x
-    return tuple(charged)
-
-
-def agg_transition(
-    state: AggState,
-    total: int,
-    arrivals: Sequence[int],
-    departures: Sequence[int],
-    next_price: float,
-) -> AggState:
-    """Advance the count vector one slot.
-
-    Level l at t+1 collects: the level-l EVs charged at t (laxity kept), the
-    level-(l+1) EVs left idle (laxity dropped), plus level-l arrivals, minus
-    level-l departures.  Only defined on feasible flows: leaving a
-    zero-laxity EV idle has no representation in the counts and raises.
-    """
-    counts = state.counts
-    charged = group_allocate(total, counts)
-    top = len(counts) - 1
-    if len(arrivals) != len(counts) or len(departures) != len(counts):
-        raise ValueError(f"arrival/departure vectors must have length {len(counts)}")
-    if charged[0] < counts[0]:
-        raise ValueError(
-            f"budget {total} leaves {counts[0] - charged[0]} zero-laxity "
-            f"EVs idle; their laxity would go negative"
-        )
-    new_counts = []
-    for level in range(top + 1):
-        dropped_in = (counts[level + 1] - charged[level + 1]) if level < top else 0
-        n = charged[level] + dropped_in + int(arrivals[level]) - int(departures[level])
-        if n < 0:
-            raise ValueError(
-                f"negative count at laxity {level}: inconsistent arrival/"
-                f"departure flows"
-            )
-        new_counts.append(n)
-    return AggState(next_price, tuple(new_counts))
 
 
 def max_arrival_laxity(config: EpisodeConfig) -> int:
@@ -179,10 +121,6 @@ class AggSimulator:
     @property
     def t(self) -> int:
         return self._t
-
-    @property
-    def state(self) -> AggState:
-        return self._state
 
     @property
     def urgent(self) -> int:

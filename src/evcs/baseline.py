@@ -25,7 +25,7 @@ import numpy as np
 
 from .agg import AggSimulator, AggState, max_arrival_laxity
 from .env import EpisodeConfig
-from .policy import DivergenceError, TrainConfig, require_fields
+from .policy import DivergenceError, TrainConfig, model_field
 
 N_FEATURES = 4
 EPS_START = 1.0
@@ -64,34 +64,20 @@ Features = tuple[float, float, float, float]
 
 
 def _features(dear: bool, congested: bool, action: int, urgent: int, chargeable: int) -> Features:
-    """The four features of ``action``, given the slot's price flag
-    (price above the threshold) and congestion flag."""
+    """The four binary features of ``action``, as 0.0/1.0 floats, given the
+    slot's price flag (price above the threshold) and congestion flag (more
+    EVs parked than the congestion count).
+
+    f0: charging while the price is above the threshold
+    f1: action below the zero-laxity count (deadline-violation risk)
+    f2: every parked EV charged (saturation; inactive on an empty station)
+    f3: congested
+    """
     return (
         1.0 if (dear and action > 0) else 0.0,
         1.0 if action < urgent else 0.0,
         1.0 if (chargeable > 0 and action == chargeable) else 0.0,
         1.0 if congested else 0.0,
-    )
-
-
-def qe_features(
-    state: AggState,
-    action: int,
-    urgent: int,
-    chargeable: int,
-    price_threshold: float,
-    congestion_count: int = 12,
-) -> Features:
-    """Binary features of one (state, action) pair, as 0.0/1.0 floats.
-
-    f0: charging while the price is above the threshold
-    f1: action below the zero-laxity count (deadline-violation risk)
-    f2: every parked EV charged (saturation; inactive on an empty station)
-    f3: more EVs parked than the congestion threshold
-    """
-    return _features(
-        state.price > price_threshold, state.total > congestion_count,
-        action, urgent, chargeable,
     )
 
 
@@ -273,17 +259,18 @@ def evaluate_qe(
     theta = params.theta.tolist()
     sim = AggSimulator(config, max_arrival_laxity(config))
     state = sim.reset()
-    total = 0.0
+    rewards = np.empty(config.horizon)
     actions = []
-    for _ in range(config.horizon):
+    for t in range(config.horizon):
         action = qe_greedy_action(
             theta, state, sim.urgent, sim.chargeable, threshold,
             feature_config.congestion_count,
         )
-        state, reward = sim.step(action)
-        total += reward
+        state, rewards[t] = sim.step(action)
         actions.append(action)
-    return total, tuple(actions)
+    # summed as `Trajectory.episode_reward` sums a PG day, so two models that
+    # take the same actions get the same reward
+    return float(rewards.sum()), tuple(actions)
 
 
 MODEL_KIND_QE = "qe"
@@ -306,13 +293,20 @@ def qe_model_dict(
 
 
 def qe_from_model(model: dict) -> tuple[QeParams, QeFeatureConfig, int]:
-    """Parse a QE model dict; a missing field or a ``theta`` of the wrong
-    length raises ValueError naming the field."""
-    require_fields(model, ("theta", "max_laxity"))
-    params = QeParams(np.array(model["theta"], dtype=float))
+    """Parse a QE model dict through `model_field`: ``theta`` is four finite
+    numbers, ``price_threshold`` a finite number or null (the default),
+    ``congestion_count`` (default 12) and ``max_laxity`` JSON integers >= 0.
+    A missing ``theta`` or ``max_laxity``, or a malformed field, raises
+    ValueError naming the field."""
+    params = QeParams(model_field(model, "theta", float, N_FEATURES))
     threshold = model.get("price_threshold")
-    feature_config = QeFeatureConfig(
-        price_threshold=None if threshold is None else float(threshold),
-        congestion_count=int(model.get("congestion_count", 12)),
-    )
-    return params, feature_config, int(model["max_laxity"])
+    if threshold is not None:
+        threshold = model_field(model, "price_threshold", float)
+    congestion_count = 12
+    if "congestion_count" in model:
+        congestion_count = model_field(model, "congestion_count", int)
+    max_laxity = model_field(model, "max_laxity", int)
+    for name, value in (("congestion_count", congestion_count), ("max_laxity", max_laxity)):
+        if value < 0:
+            raise ValueError(f"field '{name}' must be >= 0, got {value}")
+    return params, QeFeatureConfig(threshold, congestion_count), max_laxity

@@ -21,7 +21,7 @@ import numpy as np
 from . import baseline, data, policy
 from .agg import max_arrival_laxity
 from .baseline import QeFeatureConfig
-from .data import DataError
+from .data import DataError, checked_number
 from .env import EpisodeConfig
 from .policy import DivergenceError, PolicyParams, TrainConfig
 
@@ -78,34 +78,19 @@ def _require(document: dict, field: str, context: str, default=None):
     return default
 
 
-def _number(value, kind: type, where: str):
-    """``value`` as an int (``kind`` int) or a finite float (``kind`` float);
-    any other value raises DataError naming ``where``."""
-    allowed = int if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        wanted = "an integer" if kind is int else "a number"
-        raise DataError(f"{where} must be {wanted}, got {value!r}")
-    try:
-        if math.isfinite(value):
-            return kind(value)
-    except OverflowError:
-        pass
-    raise DataError(f"{where} must be finite, got {value!r}")
-
-
 def _field(document: dict, name: str, context: str, kind: type, default=None):
-    """Field ``name`` of ``document`` (or ``default``) through `_number`."""
+    """Field ``name`` of ``document`` (or ``default``) through `checked_number`."""
     value = _require(document, name, context, default)
-    return _number(value, kind, f"{context}: field '{name}'")
+    return checked_number(value, kind, f"{context}: field '{name}'")
 
 
 def _numbers(document: dict, name: str, context: str, kind: type, length: int | None = None):
-    """A list field of numbers through `_number`, of ``length`` entries if given."""
+    """A list field of numbers through `checked_number`, of ``length`` entries if given."""
     values = _require(document, name, context)
     if not isinstance(values, list) or length not in (None, len(values)):
         shape = "a list" if length is None else f"a list of {length}"
         raise DataError(f"{context}: field '{name}' must be {shape}, got {values!r}")
-    return tuple(_number(v, kind, f"{context}: field '{name}'") for v in values)
+    return tuple(checked_number(v, kind, f"{context}: field '{name}'") for v in values)
 
 
 def parse_experiment(document: dict, source: str = "config") -> dict:
@@ -170,16 +155,11 @@ def load_days(data_dir: str | Path) -> list[tuple[str, EpisodeConfig]]:
         prices_path = directory / f"{stem}_prices.csv"
         if not prices_path.exists():
             raise DataError(f"{arrivals_path}: missing matching file {prices_path.name}")
-        series = data.load_prices(prices_path)
-        horizon = len(series.values)
-        events = data.load_arrivals(arrivals_path)
-        for event in events:
-            if event.t >= horizon:
-                raise DataError(
-                    f"{arrivals_path}: arrival slot {event.t} outside horizon {horizon}"
-                )
+        slot_prices = data.load_prices(prices_path)
+        horizon = len(slot_prices)
+        events = data.load_arrivals(arrivals_path, horizon)
         days.append(
-            (stem, EpisodeConfig(horizon, data.episode_prices(series, horizon), tuple(events)))
+            (stem, EpisodeConfig(horizon, data.episode_prices(slot_prices, horizon), tuple(events)))
         )
     if not days:
         raise DataError(f"{directory}: no day files (*_arrivals.csv) found")

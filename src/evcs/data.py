@@ -21,8 +21,9 @@ days, byte for byte, as earlier versions that called ``choice``.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import lru_cache
 from pathlib import Path
@@ -37,17 +38,21 @@ class DataError(ValueError):
     """Malformed or inconsistent input data."""
 
 
-@dataclass(frozen=True)
-class PriceSeries:
-    """Slot-resolution price sequence."""
-
-    resolution_minutes: int
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if any(not np.isfinite(v) for v in self.values):
-            raise DataError("price series contains non-finite values")
+def checked_number(value, kind: type, where: str):
+    """``value`` as an int (``kind`` int) or a finite float (``kind`` float):
+    how experiment configs and model files read numbers.  An int takes a
+    JSON integer, a float any finite number, neither a boolean or a string;
+    anything else raises DataError naming ``where``."""
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        wanted = "an integer" if kind is int else "a number"
+        raise DataError(f"{where} must be {wanted}, got {value!r}")
+    try:
+        if math.isfinite(value):
+            return kind(value)
+    except OverflowError:
+        pass
+    raise DataError(f"{where} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,8 +118,9 @@ DEFAULT_PROFILES = (
 )
 
 
-def load_prices(path: str | Path, slots_per_hour: int = 4) -> PriceSeries:
-    """Read hourly ``timestamp,price`` rows and step-hold to slot resolution."""
+def load_prices(path: str | Path) -> tuple[float, ...]:
+    """Read hourly ``timestamp,price`` rows and step-hold them to 15-minute
+    slots: each hour's price repeated four times."""
     path = Path(path)
     rows: list[tuple[datetime, float]] = []
     with path.open(newline="") as handle:
@@ -147,19 +153,16 @@ def load_prices(path: str | Path, slots_per_hour: int = 4) -> PriceSeries:
                 f"{path}: gap in hourly series after {prev.isoformat()}, "
                 f"missing {expected.isoformat()}"
             )
-    values = []
-    for _, price in rows:
-        values.extend([price] * slots_per_hour)
-    return PriceSeries(resolution_minutes=60 // slots_per_hour, values=tuple(values))
+    return tuple(price for _, price in rows for _ in range(4))
 
 
-def episode_prices(series: PriceSeries, horizon: int) -> tuple[float, ...]:
+def episode_prices(slot_prices: Sequence[float], horizon: int) -> tuple[float, ...]:
     """Slot prices for an episode: horizon+1 values, final one padded by repeat."""
-    if len(series.values) < horizon:
+    if len(slot_prices) < horizon:
         raise DataError(
-            f"price series has {len(series.values)} slots, need at least {horizon}"
+            f"price series has {len(slot_prices)} slots, need at least {horizon}"
         )
-    values = series.values[: horizon + 1]
+    values = tuple(slot_prices[: horizon + 1])
     if len(values) == horizon:
         values = values + (values[-1],)
     return values
@@ -284,8 +287,13 @@ def save_arrivals(path: str | Path, events: Sequence[ArrivalEvent]) -> None:
             writer.writerow([event.t, event.demand, event.parking, event.category.value])
 
 
-def load_arrivals(path: str | Path) -> list[ArrivalEvent]:
-    """Read and validate an arrivals file; row errors carry their line number."""
+def load_arrivals(path: str | Path, horizon: int) -> list[ArrivalEvent]:
+    """Read and validate the arrivals file of a day of ``horizon`` slots.
+
+    Row errors carry their line number.  A row must arrive inside the day
+    (slot < horizon) and leave by its end (slot + parking <= horizon), as
+    every generated day does.
+    """
     path = Path(path)
     events: list[ArrivalEvent] = []
     with path.open(newline="") as handle:
@@ -311,6 +319,13 @@ def load_arrivals(path: str | Path) -> list[ArrivalEvent]:
                 events.append(ArrivalEvent(slot, demand, parking, category))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            if slot >= horizon:
+                raise DataError(f"{path}:{lineno}: field 'slot' {slot} outside horizon {horizon}")
+            if slot + parking > horizon:
+                raise DataError(
+                    f"{path}:{lineno}: field 'parking' {parking} runs past the end "
+                    f"of the day (slot {slot} + parking > horizon {horizon})"
+                )
     return events
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 
 class Category(Enum):
@@ -91,14 +91,12 @@ class EpisodeConfig:
     """One day's worth of inputs: horizon, slot prices and the arrival list.
 
     Decisions are taken at t = 0 .. horizon-1; prices carry one extra entry
-    for the terminal state.  The discount applies to the episode objective
-    only (per-step rewards are undiscounted).
+    for the terminal state.
     """
 
     horizon: int
     prices: tuple[float, ...]
     arrivals: tuple[ArrivalEvent, ...] = ()
-    discount: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prices", tuple(float(p) for p in self.prices))
@@ -110,8 +108,6 @@ class EpisodeConfig:
                 f"need {self.horizon + 1} prices for horizon {self.horizon}, "
                 f"got {len(self.prices)}"
             )
-        if not 0.0 < self.discount <= 1.0:
-            raise ValueError(f"discount must be in (0, 1], got {self.discount}")
         for event in self.arrivals:
             if event.t > self.horizon:
                 raise ValueError(
@@ -242,10 +238,6 @@ class EpisodeResult:
     def fully_charged(self) -> bool:
         return not self.infeasible
 
-    def discounted_return(self, gamma: float | None = None) -> float:
-        g = self.config.discount if gamma is None else gamma
-        return sum(r * g**t for t, r in enumerate(self.rewards))
-
 
 def run_episode(
     config: EpisodeConfig,
@@ -276,7 +268,3 @@ def run_episode(
         departures=tuple(departures),
     )
 
-
-def feasibility_invariant(state: StationState) -> bool:
-    """True iff every parked EV can still be fully charged in time."""
-    return all(ev.parking >= ev.demand for ev in state.evs)

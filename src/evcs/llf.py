@@ -6,26 +6,21 @@ the lowest-laxity EVs first keeps every laxity non-negative whenever that is
 possible at all, which is what makes the scalar total action a sufficient
 control for the station.
 
-`exists_feasible_individual_schedule` is the independent brute-force check
-for that claim: it enumerates every way of spending the budget and reports
-whether any of them charges every EV in time.
+The independent brute-force check of that claim,
+``exists_feasible_individual_schedule``, enumerates every way of spending
+the budget; it lives in ``tests/oracles.py``, beside the other proofs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .env import EpisodeConfig, EvRecord, StationState, arrival_schedule
+from .env import EvRecord, StationState
 
 
 def laxity(demand: int, parking: int) -> int:
     """Slots the EV can skip and still finish: parking - demand."""
     return parking - demand
-
-
-def laxities(evs: Iterable[EvRecord]) -> dict[int, int]:
-    """Per-EV laxity, keyed by EV id."""
-    return {ev.id: laxity(ev.demand, ev.parking) for ev in evs}
 
 
 def llf_allocate(
@@ -62,103 +57,3 @@ def llf_controller(
         return llf_allocate(totals[state.t], state.evs, tie_break)
 
     return controller
-
-
-def exists_feasible_individual_schedule(
-    config: EpisodeConfig,
-    totals: Sequence[int],
-    max_decision_points: int = 24,
-) -> bool:
-    """Exhaustively decide whether the total-action sequence is feasible.
-
-    True iff some assignment of per-EV binary actions, summing to
-    ``totals[t]`` in every slot, charges every EV fully before it leaves
-    (and before the horizon ends).  Pure enumeration with memoisation on the
-    (slot, parked-EV multiset) pair; independent of the LLF rule so it can
-    act as its oracle.
-
-    ``max_decision_points`` guards against exponential blow-ups: the sum of
-    presence slots over all EVs must stay at or below it.
-    """
-    totals = tuple(int(a) for a in totals)
-    if len(totals) != config.horizon:
-        raise ValueError(
-            f"need {config.horizon} totals for horizon {config.horizon}, "
-            f"got {len(totals)}"
-        )
-    if any(a < 0 for a in totals):
-        raise ValueError("totals must be non-negative")
-
-    points = sum(
-        min(event.parking, config.horizon - event.t) for event in config.arrivals
-    )
-    if points > max_decision_points:
-        raise ValueError(
-            f"instance too large for exhaustive search: {points} EV-slot "
-            f"decision points exceed the guard ({max_decision_points})"
-        )
-
-    arrivals_by_t: dict[int, tuple[tuple[int, int], ...]] = {}
-    for t, items in arrival_schedule(config).items():
-        arrivals_by_t[t] = tuple((event.demand, event.parking) for _, event in items)
-
-    memo: dict[tuple[int, tuple[tuple[int, int], ...]], bool] = {}
-
-    def feasible(t: int, pool: tuple[tuple[int, int], ...]) -> bool:
-        # pool: sorted (demand, parking) pairs of parked EVs, all with demand > 0
-        if t == config.horizon:
-            return not pool
-        key = (t, pool)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-
-        budget = totals[t]
-        result = False
-        if budget <= len(pool):
-            # Group identical (d, p) pairs and enumerate how many of each
-            # group receive a charge this slot.
-            groups: list[tuple[tuple[int, int], int]] = []
-            for pair in pool:
-                if groups and groups[-1][0] == pair:
-                    groups[-1] = (pair, groups[-1][1] + 1)
-                else:
-                    groups.append((pair, 1))
-
-            def expand(idx: int, remaining: int, survivors: list[tuple[int, int]]) -> bool:
-                if idx == len(groups):
-                    if remaining:
-                        return False
-                    nxt = sorted(survivors + list(arrivals_by_t.get(t + 1, ())))
-                    return feasible(t + 1, tuple(nxt))
-                (d, p), count = groups[idx]
-                lo = max(0, remaining - sum(c for _, c in groups[idx + 1 :]))
-                for charged in range(min(count, remaining), lo - 1, -1):
-                    nxt_survivors = list(survivors)
-                    ok = True
-                    # charged EVs: demand and parking both tick down
-                    if charged:
-                        if d - 1 == 0:
-                            pass  # fully charged, leaves
-                        elif p - 1 == 0:
-                            ok = False  # would overstay with demand left
-                        else:
-                            nxt_survivors.extend([(d - 1, p - 1)] * charged)
-                    # idle EVs: only parking ticks down
-                    idle = count - charged
-                    if ok and idle:
-                        if p - 1 == 0:
-                            ok = False  # overstays uncharged (demand > 0)
-                        else:
-                            nxt_survivors.extend([(d, p - 1)] * idle)
-                    if ok and expand(idx + 1, remaining - charged, nxt_survivors):
-                        return True
-                return False
-
-            result = expand(0, budget, [])
-
-        memo[key] = result
-        return result
-
-    start = tuple(sorted(arrivals_by_t.get(0, ())))
-    return feasible(0, start)

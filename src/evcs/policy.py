@@ -33,11 +33,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .agg import AggSimulator, BatchSimulator, max_arrival_laxity
+from .data import checked_number
 from .env import EpisodeConfig
 
 
@@ -104,15 +105,6 @@ def project_action(raw: float, chargeable: int, urgent: int = 0) -> int:
         raise ValueError(f"non-finite raw action {raw}")
     rounded = math.floor(raw + 0.5)
     return min(max(rounded, urgent), chargeable)
-
-
-def log_prob_grad(
-    params: PolicyParams, features: Sequence[float], action: float
-) -> np.ndarray:
-    """Gradient of ln N(action | mean, sigma^2) in [weights..., bias] order."""
-    f = np.asarray(features, dtype=float)
-    z = (action - policy_mean(params, f)) / params.sigma**2
-    return np.append(z * f, z)
 
 
 def estimate_returns(rewards: Sequence[float], gamma: float) -> np.ndarray:
@@ -299,20 +291,13 @@ class FeatureScaler:
         return (np.asarray(raw, dtype=float) - self.mean) / self.std
 
     @classmethod
-    def fit(cls, rows: Sequence[Sequence[float]], std_floor: float = 1.0) -> "FeatureScaler":
+    def fit(cls, rows: Sequence[Sequence[float]]) -> "FeatureScaler":
         m = np.asarray(rows, dtype=float)
-        return cls(mean=m.mean(axis=0), std=np.maximum(m.std(axis=0), std_floor))
+        return cls(mean=m.mean(axis=0), std=np.maximum(m.std(axis=0), 1.0))
 
     @classmethod
     def identity(cls, dim: int) -> "FeatureScaler":
         return cls(mean=np.zeros(dim), std=np.ones(dim))
-
-
-def destandardize(params: PolicyParams, scaler: FeatureScaler) -> PolicyParams:
-    """Fold the standardization into the weights: same mean action on raw features."""
-    w = params.weights / scaler.std
-    b = params.bias - float(np.sum(params.weights * scaler.mean / scaler.std))
-    return PolicyParams(weights=w, bias=b, sigma=params.sigma)
 
 
 def feature_dim(max_laxity: int, level_cap: int | None = None) -> int:
@@ -643,39 +628,38 @@ def pg_model_dict(
     }
 
 
-def require_fields(model: dict, names: Sequence[str]) -> None:
-    """Raise ValueError naming the first of ``names`` missing from a model."""
-    for name in names:
-        if name not in model:
-            raise ValueError(f"missing field '{name}'")
+def model_field(model: dict, name: str, kind: type, length: int | None = None):
+    """Field ``name`` of a model dict through `checked_number`: one number,
+    or with ``length`` a vector of that many.  Raises ValueError naming the
+    field if it is missing or malformed."""
+    if name not in model:
+        raise ValueError(f"missing field '{name}'")
+    value = model[name]
+    if length is None:
+        return checked_number(value, kind, f"field '{name}'")
+    if not isinstance(value, list) or len(value) != length:
+        size = f"{len(value)} entries" if isinstance(value, list) else repr(value)
+        raise ValueError(f"field '{name}' must be a list of {length} numbers, got {size}")
+    return np.array([checked_number(v, kind, f"field '{name}'") for v in value])
 
 
 def pg_from_model(model: dict) -> tuple[PolicyParams, FeatureScaler, int, int | None]:
-    """Parse a PG model dict; a missing field, a negative ``max_laxity``, a
-    ``level_cap`` below 1, a vector whose length is not
-    ``feature_dim(max_laxity, level_cap)``, a non-finite number or a
+    """Parse a PG model dict through `model_field`: ``max_laxity`` and
+    ``level_cap`` (optional) are JSON integers, every other number is finite,
+    and no number is a boolean or a string.  A missing field, a negative
+    ``max_laxity``, a ``level_cap`` below 1, a vector whose length is not
+    ``feature_dim(max_laxity, level_cap)``, a ``sigma`` <= 0 or a
     ``feature_std`` entry <= 0 raises ValueError naming the field."""
-    require_fields(model, ("weights", "bias", "sigma", "feature_mean", "feature_std", "max_laxity"))
-    max_laxity = int(model["max_laxity"])
-    level_cap = None if model.get("level_cap") is None else int(model["level_cap"])
+    max_laxity = model_field(model, "max_laxity", int)
+    level_cap = None if model.get("level_cap") is None else model_field(model, "level_cap", int)
     dim = feature_dim(max_laxity, level_cap)
-    vectors = {}
-    for name in ("weights", "feature_mean", "feature_std"):
-        vectors[name] = np.array(model[name], dtype=float)
-        if vectors[name].shape != (dim,):
-            raise ValueError(
-                f"field '{name}' has shape {vectors[name].shape}, expected ({dim},) "
-                f"for max_laxity {max_laxity} and level_cap {level_cap}"
-            )
-    bias, sigma = float(model["bias"]), float(model["sigma"])
-    for name, value in (*vectors.items(), ("bias", bias), ("sigma", sigma)):
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"field '{name}' has non-finite entries")
-    if not np.all(vectors["feature_std"] > 0):
+    weights, mean, std = (
+        model_field(model, name, float, dim) for name in ("weights", "feature_mean", "feature_std")
+    )
+    if not np.all(std > 0):
         raise ValueError("field 'feature_std' has entries <= 0")
-    params = PolicyParams(weights=vectors["weights"], bias=bias, sigma=sigma)
-    scaler = FeatureScaler(mean=vectors["feature_mean"], std=vectors["feature_std"])
-    return params, scaler, max_laxity, level_cap
+    bias, sigma = model_field(model, "bias", float), model_field(model, "sigma", float)
+    return PolicyParams(weights, bias, sigma), FeatureScaler(mean, std), max_laxity, level_cap
 
 
 def save_model(path: str | Path, model: dict) -> None:

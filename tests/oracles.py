@@ -1,8 +1,11 @@
-"""Independent brute-force oracles used across the test suite.
+"""Independent brute-force oracles and reference implementations used across
+the test suite.
 
 Everything here stays deliberately dumb: exhaustive enumeration and direct
 recursion, no reuse of the dispatch logic under test beyond the public data
-types.
+types.  The library does not import this module: the feasibility oracle,
+the group-count transition, the score-function gradient and the QE features
+live here because only the proofs of the library's claims need them.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from evcs.agg import AggSimulator, agg_transition, group_allocate
-from evcs.env import ArrivalEvent, ChargingEnv, EpisodeConfig, arrival_schedule
+from evcs.agg import AggSimulator, AggState
+from evcs.env import ArrivalEvent, ChargingEnv, EpisodeConfig, EvRecord, arrival_schedule
 from evcs.llf import laxity, llf_allocate
+from evcs.policy import PolicyParams, policy_mean
 
 
 def best_feasible_reward(config: EpisodeConfig) -> float:
@@ -44,6 +48,106 @@ def best_feasible_reward(config: EpisodeConfig) -> float:
 
     rec(env.reset(), 0.0)
     return best[0]
+
+
+def exists_feasible_individual_schedule(
+    config: EpisodeConfig,
+    totals: Sequence[int],
+    max_decision_points: int = 24,
+) -> bool:
+    """Exhaustively decide whether the total-action sequence is feasible.
+
+    True iff some assignment of per-EV binary actions, summing to
+    ``totals[t]`` in every slot, charges every EV fully before it leaves
+    (and before the horizon ends).  Pure enumeration with memoisation on the
+    (slot, parked-EV multiset) pair; independent of the LLF rule so it can
+    act as its oracle.
+
+    ``max_decision_points`` guards against exponential blow-ups: the sum of
+    presence slots over all EVs must stay at or below it.
+    """
+    totals = tuple(int(a) for a in totals)
+    if len(totals) != config.horizon:
+        raise ValueError(
+            f"need {config.horizon} totals for horizon {config.horizon}, "
+            f"got {len(totals)}"
+        )
+    if any(a < 0 for a in totals):
+        raise ValueError("totals must be non-negative")
+
+    points = sum(
+        min(event.parking, config.horizon - event.t) for event in config.arrivals
+    )
+    if points > max_decision_points:
+        raise ValueError(
+            f"instance too large for exhaustive search: {points} EV-slot "
+            f"decision points exceed the guard ({max_decision_points})"
+        )
+
+    arrivals_by_t: dict[int, tuple[tuple[int, int], ...]] = {}
+    for t, items in arrival_schedule(config).items():
+        arrivals_by_t[t] = tuple((event.demand, event.parking) for _, event in items)
+
+    memo: dict[tuple[int, tuple[tuple[int, int], ...]], bool] = {}
+
+    def feasible(t: int, pool: tuple[tuple[int, int], ...]) -> bool:
+        # pool: sorted (demand, parking) pairs of parked EVs, all with demand > 0
+        if t == config.horizon:
+            return not pool
+        key = (t, pool)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+
+        budget = totals[t]
+        result = False
+        if budget <= len(pool):
+            # Group identical (d, p) pairs and enumerate how many of each
+            # group receive a charge this slot.
+            groups: list[tuple[tuple[int, int], int]] = []
+            for pair in pool:
+                if groups and groups[-1][0] == pair:
+                    groups[-1] = (pair, groups[-1][1] + 1)
+                else:
+                    groups.append((pair, 1))
+
+            def expand(idx: int, remaining: int, survivors: list[tuple[int, int]]) -> bool:
+                if idx == len(groups):
+                    if remaining:
+                        return False
+                    nxt = sorted(survivors + list(arrivals_by_t.get(t + 1, ())))
+                    return feasible(t + 1, tuple(nxt))
+                (d, p), count = groups[idx]
+                lo = max(0, remaining - sum(c for _, c in groups[idx + 1 :]))
+                for charged in range(min(count, remaining), lo - 1, -1):
+                    nxt_survivors = list(survivors)
+                    ok = True
+                    # charged EVs: demand and parking both tick down
+                    if charged:
+                        if d - 1 == 0:
+                            pass  # fully charged, leaves
+                        elif p - 1 == 0:
+                            ok = False  # would overstay with demand left
+                        else:
+                            nxt_survivors.extend([(d - 1, p - 1)] * charged)
+                    # idle EVs: only parking ticks down
+                    idle = count - charged
+                    if ok and idle:
+                        if p - 1 == 0:
+                            ok = False  # overstays uncharged (demand > 0)
+                        else:
+                            nxt_survivors.extend([(d, p - 1)] * idle)
+                    if ok and expand(idx + 1, remaining - charged, nxt_survivors):
+                        return True
+                return False
+
+            result = expand(0, budget, [])
+
+        memo[key] = result
+        return result
+
+    start = tuple(sorted(arrivals_by_t.get(0, ())))
+    return feasible(0, start)
 
 
 def random_instance(
@@ -82,6 +186,66 @@ def llf_rollout_totals(
         failed = failed or any(ev.demand > 0 for ev in gone)
     failed = failed or any(ev.demand > 0 for ev in state.evs)
     return tuple(totals), not failed
+
+
+# --- laxity-group counts -----------------------------------------------------
+
+
+def group_allocate(total: int, counts: Sequence[int]) -> tuple[int, ...]:
+    """Split a total charging budget greedily from laxity level 0 upward.
+
+    Fills each level completely before touching the next, so the cumulative
+    allocation up to level l is min(total, cumulative count up to l).
+    """
+    if total < 0:
+        raise ValueError(f"total charging budget must be >= 0, got {total}")
+    available = sum(counts)
+    if total > available:
+        raise ValueError(f"budget {total} exceeds the {available} parked EVs")
+    charged = []
+    remaining = total
+    for n in counts:
+        x = min(int(n), remaining)
+        charged.append(x)
+        remaining -= x
+    return tuple(charged)
+
+
+def agg_transition(
+    state: AggState,
+    total: int,
+    arrivals: Sequence[int],
+    departures: Sequence[int],
+    next_price: float,
+) -> AggState:
+    """Advance the count vector one slot.
+
+    Level l at t+1 collects: the level-l EVs charged at t (laxity kept), the
+    level-(l+1) EVs left idle (laxity dropped), plus level-l arrivals, minus
+    level-l departures.  Only defined on feasible flows: leaving a
+    zero-laxity EV idle has no representation in the counts and raises.
+    """
+    counts = state.counts
+    charged = group_allocate(total, counts)
+    top = len(counts) - 1
+    if len(arrivals) != len(counts) or len(departures) != len(counts):
+        raise ValueError(f"arrival/departure vectors must have length {len(counts)}")
+    if charged[0] < counts[0]:
+        raise ValueError(
+            f"budget {total} leaves {counts[0] - charged[0]} zero-laxity "
+            f"EVs idle; their laxity would go negative"
+        )
+    new_counts = []
+    for level in range(top + 1):
+        dropped_in = (counts[level + 1] - charged[level + 1]) if level < top else 0
+        n = charged[level] + dropped_in + int(arrivals[level]) - int(departures[level])
+        if n < 0:
+            raise ValueError(
+                f"negative count at laxity {level}: inconsistent arrival/"
+                f"departure flows"
+            )
+        new_counts.append(n)
+    return AggState(next_price, tuple(new_counts))
 
 
 # --- exact DP over original vs aggregated state spaces -----------------------
@@ -135,8 +299,6 @@ def dp_value_original(
             return memo[key]
         counts = _counts_of(evs, max_laxity)
         a = pi(t, price_idx, counts)
-        from evcs.env import EvRecord
-
         records = [EvRecord(i, d, p) for i, d, p in evs]
         action_map = llf_allocate(a, records)
         nxt = []
@@ -210,8 +372,6 @@ def dp_value_aggregated(
         new_levels = tuple(tuple(sorted(level)) for level in new_levels)
 
         # the published counts must follow the group transition exactly
-        from evcs.agg import AggState
-
         predicted = agg_transition(
             AggState(chain.levels[price_idx], counts), a, arrived, departed, 0.0
         )
@@ -234,29 +394,56 @@ def dp_value_aggregated(
     return value(0, start_price_idx, start)
 
 
+# --- learners ----------------------------------------------------------------
+
+
+def log_prob_grad(
+    params: PolicyParams, features: Sequence[float], action: float
+) -> np.ndarray:
+    """Gradient of ln N(action | mean, sigma^2) in [weights..., bias] order."""
+    f = np.asarray(features, dtype=float)
+    z = (action - policy_mean(params, f)) / params.sigma**2
+    return np.append(z * f, z)
+
+
+def qe_features(
+    state: AggState,
+    action: int,
+    urgent: int,
+    chargeable: int,
+    price_threshold: float,
+    congestion_count: int = 12,
+) -> np.ndarray:
+    """The four binary QE features of one (state, action) pair, as float64.
+
+    f0: charging while the price is above the threshold
+    f1: action below the zero-laxity count (deadline-violation risk)
+    f2: every parked EV charged (saturation; inactive on an empty station)
+    f3: more EVs parked than the congestion threshold
+    """
+    return np.array([
+        1.0 if (state.price > price_threshold and action > 0) else 0.0,
+        1.0 if action < urgent else 0.0,
+        1.0 if (chargeable > 0 and action == chargeable) else 0.0,
+        1.0 if state.total > congestion_count else 0.0,
+    ])
+
+
 def qe_train_numpy(day_configs, config, feature_config, max_laxity):
     """``baseline.qe_train`` as a numpy loop: (theta, param_trace, curve).
 
-    Features are float64 vectors, values ``theta @ features``, the update
-    ``theta + step_size * delta * features``, and the greedy action a scan
-    of every feasible action.  The counts come from ``AggSimulator``, so
+    Features are ``qe_features`` vectors, values ``theta @ features``, the
+    update ``theta + step_size * delta * features``, and the greedy action a
+    scan of every feasible action.  The counts come from ``AggSimulator``, so
     this pins the learner's arithmetic, not the rollout engine.
     """
     congestion_count = feature_config.congestion_count
 
-    def features(price, total, action, urgent, chargeable, threshold):
-        return np.array([
-            1.0 if (price > threshold and action > 0) else 0.0,
-            1.0 if action < urgent else 0.0,
-            1.0 if (chargeable > 0 and action == chargeable) else 0.0,
-            1.0 if total > congestion_count else 0.0,
-        ])
-
-    def greedy(theta, sim, threshold):
-        state, urgent, chargeable = sim.state, sim.urgent, sim.chargeable
+    def greedy(theta, state, sim, threshold):
+        urgent, chargeable = sim.urgent, sim.chargeable
         best = None
         for action in range(urgent, chargeable + 1):
-            phi = features(state.price, state.total, action, urgent, chargeable, threshold)
+            phi = qe_features(state, action, urgent, chargeable, threshold, congestion_count)
             value = float(theta @ phi)
             if best is None or value > best[1]:
                 best = (action, value)
@@ -280,11 +467,11 @@ def qe_train_numpy(day_configs, config, feature_config, max_laxity):
             if rng.random() < epsilon:
                 action = int(rng.integers(urgent, chargeable + 1))
             else:
-                action = greedy(theta, sim, threshold)[0]
-            phi = features(state.price, state.total, action, urgent, chargeable, threshold)
+                action = greedy(theta, state, sim, threshold)[0]
+            phi = qe_features(state, action, urgent, chargeable, threshold, congestion_count)
             state, reward = sim.step(action)
             episode_reward += reward
-            next_best = 0.0 if sim.t >= day.horizon else greedy(theta, sim, threshold)[1]
+            next_best = 0.0 if sim.t >= day.horizon else greedy(theta, state, sim, threshold)[1]
             delta = reward + config.discount * next_best - float(theta @ phi)
             theta = theta + config.step_size * delta * phi
         curve.append(episode_reward)

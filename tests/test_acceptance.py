@@ -11,21 +11,19 @@ import time
 import numpy as np
 import pytest
 
-from evcs.agg import AggSimulator, aggregate, group_allocate
+from evcs.agg import AggSimulator, aggregate
 from evcs.baseline import QeFeatureConfig, evaluate_qe, qe_train
 from evcs.cli import main as evcs_main
 from evcs.cli import percent_improvement
 from evcs.data import DEFAULT_PROFILES, gen_day, gen_prices
 from evcs.env import ArrivalEvent, ChargingEnv, EpisodeConfig, run_episode
-from evcs.llf import exists_feasible_individual_schedule, laxity, llf_allocate, llf_controller
+from evcs.llf import laxity, llf_allocate, llf_controller
 from evcs.policy import (
-    FeatureScaler,
     PolicyParams,
     TrainConfig,
     evaluate_policy,
     feature_dim,
     fit_scaler,
-    log_prob_grad,
     policy_mean,
     train,
 )
@@ -36,7 +34,10 @@ from oracles import (
     best_feasible_reward,
     dp_value_aggregated,
     dp_value_original,
+    exists_feasible_individual_schedule,
+    group_allocate,
     llf_rollout_totals,
+    log_prob_grad,
     random_instance,
 )
 

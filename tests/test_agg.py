@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evcs.agg import (
-    AggSimulator,
-    AggState,
-    BatchSimulator,
-    agg_transition,
-    aggregate,
-    group_allocate,
-)
+from evcs.agg import AggSimulator, AggState, BatchSimulator, aggregate
 from evcs.env import ArrivalEvent, ChargingEnv, EpisodeConfig, EvRecord, StationState, arrival_schedule
 from evcs.llf import llf_allocate
 
-from oracles import PriceChain, dp_value_aggregated, dp_value_original, random_instance
+from oracles import (
+    PriceChain,
+    agg_transition,
+    dp_value_aggregated,
+    dp_value_original,
+    group_allocate,
+    random_instance,
+)
 
 
 def test_aggregate_table1_initial():
@@ -86,7 +86,7 @@ def test_group_allocate_matches_per_ev_llf_tallies(data):
 def test_agg_state_coerces_counts_and_rejects_negatives():
     state = AggState(2.0, [np.int64(3), 0, 1.0])
     assert state.counts == (3, 0, 1) and all(type(n) is int for n in state.counts)
-    assert state.total == 4 and state.max_level == 2
+    assert state.total == 4
     assert AggState(2.0, ()).total == 0
     with pytest.raises(ValueError, match="laxity counts must be >= 0"):
         AggState(2.0, (1, -1, 0))

@@ -12,7 +12,6 @@ from evcs.baseline import (
     QeFeatureConfig,
     QeParams,
     evaluate_qe,
-    qe_features,
     qe_from_model,
     qe_greedy_action,
     qe_model_dict,
@@ -24,12 +23,12 @@ from evcs.data import DEFAULT_PROFILES, gen_day, gen_prices
 from evcs.env import ArrivalEvent, EpisodeConfig
 from evcs.policy import DivergenceError, TrainConfig, load_model, save_model
 
-from oracles import qe_train_numpy
+from oracles import qe_features, qe_train_numpy
 
 
 def test_features_inactive_on_empty_station():
     state = AggState(5.0, (0, 0, 0))
-    assert qe_features(state, 0, urgent=0, chargeable=0, price_threshold=4.0) == (0.0,) * N_FEATURES
+    assert not qe_features(state, 0, urgent=0, chargeable=0, price_threshold=4.0).any()
 
 
 def test_features_cost_flag():

@@ -13,7 +13,7 @@ from evcs.cli import (
     main,
     percent_improvement,
 )
-from evcs.policy import load_model
+from evcs.policy import FeatureScaler, PolicyParams, load_model, run_policy_episode
 
 
 def _small_experiment(days=2, horizon=24):
@@ -273,6 +273,64 @@ def test_compare_zero_baseline_reward_writes_nan(tmp_path, capsys):
     assert table[1:] == ["day00,-5.0,0.0,nan", "average,-5.0,0.0,nan"]
 
 
+
+def test_models_taking_equal_actions_get_equal_rewards(tmp_path, capsys):
+    """An urgent-only PG model and an all-zero QE model charge exactly the
+    zero-laxity EVs, so on paper-scale days they take the same actions, get
+    the same reward and `compare` prints 0.00.  On these days a running sum
+    of the slot rewards differs from numpy's pairwise sum in the last bits,
+    so this holds only while both evaluators sum a day alike."""
+    doc = json.loads(json.dumps(DEFAULT_EXPERIMENT))
+    doc["days"] = 4
+    (tmp_path / "exp.json").write_text(json.dumps(doc))
+    data_dir = tmp_path / "days"
+    assert main(["generate", "--config", str(tmp_path / "exp.json"), "--seed", "1",
+                 "--out", str(data_dir)]) == EXIT_OK
+    urgent_only = PolicyParams(np.eye(14)[1], 0.0, 1.0)
+    running_sum_differs = False
+    for _, config in load_days(data_dir):
+        rewards = run_policy_episode(config, urgent_only, FeatureScaler.identity(14), 12).rewards
+        running = 0.0
+        for reward in rewards.tolist():
+            running += reward
+        running_sum_differs |= running != rewards.sum()
+    assert running_sum_differs
+
+    pg, qe = _hand_models()
+    pg.update(weights=np.eye(14)[1].tolist(), bias=0.0, feature_mean=[0.0] * 14,
+              feature_std=[1.0] * 14, max_laxity=12)
+    (tmp_path / "pg.json").write_text(json.dumps(pg))
+    (tmp_path / "qe.json").write_text(json.dumps(qe))
+    out_dir = tmp_path / "cmp"
+    capsys.readouterr()
+    assert main(["compare", str(tmp_path / "pg.json"), str(tmp_path / "qe.json"),
+                 "--data", str(data_dir), "--out", str(out_dir)]) == EXIT_OK
+    table = capsys.readouterr().out.strip().splitlines()
+    assert len(table) == 1 + 4 + 1
+    for line in table[1:]:
+        _, reward_a, reward_b, pct = line.split(",")
+        assert reward_a == reward_b and pct == "0.00", line
+    for day in range(4):
+        actions = (out_dir / f"actions_day{day:02d}.csv").read_text().strip().splitlines()[1:]
+        assert all(row.split(",")[2] == row.split(",")[3] for row in actions)
+
+
+def test_arrival_parked_past_the_day_is_data_error(tmp_path, capsys):
+    """A parking that runs past the end of the day is rejected at load time,
+    naming the file, the line and the field, before it can size a
+    simulator."""
+    data_dir = _one_ev_day(tmp_path)
+    arrivals = data_dir / "day00_arrivals.csv"
+    arrivals.write_text("slot,demand,parking,category\n0,1,8,normal\n0,1,1000000,normal\n")
+    pg, _ = _hand_models()
+    (tmp_path / "pg.json").write_text(json.dumps(pg))
+    for argv in (["train", "--algo", "qe", "--iterations", "1", "--out", str(tmp_path / "m.json")],
+                 ["eval", "--model", str(tmp_path / "pg.json")]):
+        capsys.readouterr()
+        assert main(argv + ["--data", str(data_dir)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{arrivals}:3: field 'parking'" in err, err
+
 @pytest.mark.parametrize(
     "algo, edit, field",
     [
@@ -293,6 +351,34 @@ def test_compare_zero_baseline_reward_writes_nan(tmp_path, capsys):
         ("qe", lambda m: m["theta"].pop(), "theta"),
         ("qe", lambda m: m.pop("max_laxity"), "max_laxity"),
         ("qe", lambda m: m.update(algo=["qe"]), "algo"),
+        # numbers are read as config fields are: JSON integers for int
+        # fields, finite numbers for float fields, no booleans or strings
+        pytest.param("pg", lambda m: m.update(max_laxity=7.9), "max_laxity",
+                     id="pg-float-max_laxity"),
+        pytest.param("pg", lambda m: m.update(max_laxity="7"), "max_laxity",
+                     id="pg-string-max_laxity"),
+        pytest.param("pg", lambda m: m.update(bias="1.5"), "bias", id="pg-string-bias"),
+        pytest.param("pg", lambda m: m.update(bias=True), "bias", id="pg-bool-bias"),
+        pytest.param("pg", lambda m: m.update(sigma="2"), "sigma", id="pg-string-sigma"),
+        pytest.param("pg", lambda m: m.update(level_cap="7"), "level_cap", id="pg-string-level_cap"),
+        pytest.param("pg", lambda m: m.update(weights=0.0), "weights", id="pg-number-weights"),
+        pytest.param("qe", lambda m: m.update(price_threshold=float("nan")), "price_threshold",
+                     id="qe-nan-price_threshold"),
+        pytest.param("qe", lambda m: m.update(price_threshold=float("inf")), "price_threshold",
+                     id="qe-inf-price_threshold"),
+        pytest.param("qe", lambda m: m.update(congestion_count=True), "congestion_count",
+                     id="qe-bool-congestion_count"),
+        pytest.param("qe", lambda m: m.update(congestion_count=2.7), "congestion_count",
+                     id="qe-float-congestion_count"),
+        pytest.param("qe", lambda m: m.update(congestion_count=-5), "congestion_count",
+                     id="qe-negative-congestion_count"),
+        pytest.param("qe", lambda m: m.update(max_laxity=-4), "max_laxity",
+                     id="qe-negative-max_laxity"),
+        pytest.param("qe", lambda m: m.update(max_laxity="7"), "max_laxity",
+                     id="qe-string-max_laxity"),
+        pytest.param("pg", lambda m: m["weights"].__setitem__(3, "0.0"), "weights",
+                     id="pg-string-weights"),
+        pytest.param("qe", lambda m: m["theta"].__setitem__(1, True), "theta", id="qe-bool-theta"),
     ],
 )
 def test_malformed_model_is_data_error_naming_file_and_field(tmp_path, capsys, algo, edit, field):

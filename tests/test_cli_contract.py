@@ -2,7 +2,9 @@
 or a model file holds, `main` returns an exit code in 0-3 and no exception
 escapes it.  Every input is a one-edit mutation of a tiny valid one (two
 days of eight slots, models trained for one iteration).  Mutated numbers stay
-small, so that no case asks the program for a large allocation."""
+small, so that no case asks the program for a large allocation; the one large
+token, 10**6, is a harmless price and must be rejected at load time as an
+arrival's slot, demand or parking."""
 
 import json
 import math
@@ -113,7 +115,9 @@ def test_mutated_config_never_crashes(base, edit):
 TOKENS = st.one_of(
     st.integers(-3, 40).map(str),
     st.floats(-1e3, 1e3).map(repr),
-    st.sampled_from(["", "nan", "inf", "x", "normal", "2026-01-01T00:00", "2026-01-01T05:00"]),
+    st.sampled_from(
+        ["", "nan", "inf", "x", "normal", "2026-01-01T00:00", "2026-01-01T05:00", str(10**6)]
+    ),
     st.text(alphabet="0123456789,.-:T \n", max_size=6),
 )
 

@@ -7,7 +7,6 @@ from evcs.data import (
     DEFAULT_PROFILES,
     CategoryProfile,
     DataError,
-    PriceSeries,
     episode_prices,
     gen_day,
     gen_prices,
@@ -30,17 +29,15 @@ def test_load_prices_step_hold(tmp_path):
     for hour in range(24):
         rows.append(f"2026-01-01T{hour:02d}:00,{hour + 0.5}")
     path = _write(tmp_path / "p.csv", "\n".join(rows) + "\n")
-    series = load_prices(path, slots_per_hour=4)
-    assert len(series.values) == 96
-    assert series.resolution_minutes == 15
+    slot_prices = load_prices(path)
+    assert len(slot_prices) == 96  # 15-minute slots
     for hour in range(24):
-        assert series.values[4 * hour : 4 * hour + 4] == (hour + 0.5,) * 4
+        assert slot_prices[4 * hour : 4 * hour + 4] == (hour + 0.5,) * 4
 
 
 def test_load_prices_constant(tmp_path):
     rows = ["timestamp,price"] + [f"2026-01-01T{h:02d}:00,3.0" for h in range(3)]
-    series = load_prices(_write(tmp_path / "p.csv", "\n".join(rows)), 2)
-    assert series.values == (3.0,) * 6
+    assert load_prices(_write(tmp_path / "p.csv", "\n".join(rows))) == (3.0,) * 12
 
 
 def test_load_prices_gap_names_missing_hour(tmp_path):
@@ -68,7 +65,7 @@ def test_load_prices_bad_rows(tmp_path):
 
 
 def test_episode_prices_padding():
-    series = PriceSeries(15, tuple(float(v) for v in range(8)))
+    series = tuple(float(v) for v in range(8))
     padded = episode_prices(series, 8)
     assert len(padded) == 9 and padded[-1] == padded[-2] == 7.0
     exact = episode_prices(series, 7)
@@ -225,20 +222,30 @@ def test_arrivals_round_trip(tmp_path):
     ]
     path = tmp_path / "arrivals.csv"
     save_arrivals(path, events)
-    assert load_arrivals(path) == events
+    assert load_arrivals(path, 96) == events
 
 
 def test_load_arrivals_validation(tmp_path):
     header = "slot,demand,parking,category\n"
-    assert load_arrivals(_write(tmp_path / "empty.csv", header)) == []
+    assert load_arrivals(_write(tmp_path / "empty.csv", header), 8) == []
     with pytest.raises(DataError, match=":2:"):
-        load_arrivals(_write(tmp_path / "bad.csv", header + "0,3,2,normal\n"))
+        load_arrivals(_write(tmp_path / "bad.csv", header + "0,3,2,normal\n"), 8)
     with pytest.raises(DataError, match=":3:"):
         load_arrivals(
-            _write(tmp_path / "bad2.csv", header + "0,1,2,normal\n1,1,2,unknown\n")
+            _write(tmp_path / "bad2.csv", header + "0,1,2,normal\n1,1,2,unknown\n"), 8
         )
     with pytest.raises(DataError, match="header"):
-        load_arrivals(_write(tmp_path / "bad3.csv", "slot,demand\n"))
+        load_arrivals(_write(tmp_path / "bad3.csv", "slot,demand\n"), 8)
+
+
+def test_load_arrivals_rejects_rows_outside_the_day(tmp_path):
+    header = "slot,demand,parking,category\n"
+    last = _write(tmp_path / "last.csv", header + "6,1,2,normal\n")
+    assert load_arrivals(last, 8) == [ArrivalEvent(6, 1, 2, Category.NORMAL)]
+    with pytest.raises(DataError, match=":3: field 'parking' 3 runs past the end"):
+        load_arrivals(_write(tmp_path / "p.csv", header + "0,1,8,normal\n6,1,3,normal\n"), 8)
+    with pytest.raises(DataError, match=":2: field 'slot' 8 outside horizon 8"):
+        load_arrivals(_write(tmp_path / "s.csv", header + "8,1,1,normal\n"), 8)
 
 
 def test_gen_prices_positive_and_seeded():
@@ -257,6 +264,6 @@ def test_save_prices_round_trip(tmp_path):
     hourly = gen_prices(rng)
     path = tmp_path / "prices.csv"
     save_prices(path, hourly)
-    series = load_prices(path, slots_per_hour=4)
-    assert len(series.values) == 96
-    assert series.values[::4] == hourly  # exact float round-trip via repr
+    slot_prices = load_prices(path)
+    assert len(slot_prices) == 96
+    assert slot_prices[::4] == hourly  # exact float round-trip via repr

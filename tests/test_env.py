@@ -7,7 +7,6 @@ from evcs.env import (
     EpisodeConfig,
     EvRecord,
     StationState,
-    feasibility_invariant,
     run_episode,
 )
 from evcs.llf import llf_controller
@@ -43,8 +42,6 @@ def test_config_validation():
         EpisodeConfig(2, (1.0, 2.0))  # needs horizon+1 prices
     with pytest.raises(ValueError):
         EpisodeConfig(2, (1.0, 2.0, 3.0), (ArrivalEvent(3, 1, 1),))
-    with pytest.raises(ValueError):
-        EpisodeConfig(2, (1.0, 2.0, 3.0), discount=0.0)
 
 
 def test_step_table1_first_transition(table1_config):
@@ -109,7 +106,7 @@ def test_run_episode_table1(table1_config):
     result = run_episode(table1_config, llf_controller(TABLE1_TOTALS))
     assert result.total_actions == TABLE1_TOTALS
     assert result.fully_charged
-    assert result.discounted_return() == sum(
+    assert sum(result.rewards) == sum(
         -p * a for p, a in zip(table1_config.prices, TABLE1_TOTALS)
     )
 
@@ -117,7 +114,7 @@ def test_run_episode_table1(table1_config):
 def test_run_episode_zero_horizon():
     result = run_episode(EpisodeConfig(0, (3.0,)), lambda s: {})
     assert result.rewards == () and result.total_actions == ()
-    assert result.discounted_return() == 0.0
+    assert sum(result.rewards) == 0.0
 
 
 def test_run_episode_charge_everything_matches_direct_sum():
@@ -133,7 +130,7 @@ def test_run_episode_charge_everything_matches_direct_sum():
     expected = -sum(
         prices[t] * len(result.states[t].evs) for t in range(cfg.horizon)
     )
-    assert result.discounted_return() == pytest.approx(expected, abs=1e-12)
+    assert sum(result.rewards) == pytest.approx(expected, abs=1e-12)
 
 
 def test_conservation_and_parking_monotone():
@@ -181,14 +178,6 @@ def test_overstay_is_flagged_infeasible():
     result = run_episode(cfg, lambda s: {ev.id: 0 for ev in s.evs})
     assert result.infeasible
     assert result.uncharged_departures[0][1].demand == 2
-
-
-def test_feasibility_invariant():
-    good = StationState(0, 1.0, (EvRecord(0, 2, 3),))
-    bad = StationState(0, 1.0, (EvRecord(0, 2, 1),))
-    assert feasibility_invariant(good)
-    assert not feasibility_invariant(bad)
-    assert feasibility_invariant(StationState(0, 1.0, ()))
 
 
 def test_negative_prices_pass_through():

@@ -4,27 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evcs.env import ArrivalEvent, EpisodeConfig, EvRecord, StationState, run_episode
-from evcs.llf import (
-    exists_feasible_individual_schedule,
-    laxities,
-    laxity,
-    llf_allocate,
-    llf_controller,
-)
+from evcs.llf import laxity, llf_allocate, llf_controller
 
 from conftest import TABLE1_TOTALS
-from oracles import llf_rollout_totals, random_instance
+from oracles import exists_feasible_individual_schedule, llf_rollout_totals, random_instance
 
 
 def test_laxity_values():
     assert laxity(3, 4) == 1
     assert laxity(2, 4) == 2
     assert laxity(5, 5) == 0
-
-
-def test_laxities_map():
-    evs = (EvRecord(7, 3, 4), EvRecord(9, 2, 4))
-    assert laxities(evs) == {7: 1, 9: 2}
 
 
 def test_allocate_prefers_least_laxity(table1_config):

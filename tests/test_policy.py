@@ -14,14 +14,12 @@ from evcs.policy import (
     PolicyParams,
     TrainConfig,
     Trajectory,
-    destandardize,
     estimate_gradient,
     estimate_returns,
     evaluate_policy,
     feature_dim,
     fit_scaler,
     load_model,
-    log_prob_grad,
     normalize_returns,
     pg_from_model,
     pg_model_dict,
@@ -34,7 +32,7 @@ from evcs.policy import (
     save_model,
     train,
 )
-from oracles import random_instance
+from oracles import log_prob_grad, random_instance
 
 
 def test_params_validation():
@@ -280,19 +278,11 @@ def test_pg_update():
         pg_update(params, np.zeros(4), 0.1)
 
 
-def test_scaler_fit_floor_and_invertibility():
+def test_scaler_fit_floors_std_at_one():
     rows = [[10.0, 0.0], [30.0, 1.0], [20.0, 0.0]]
     scaler = FeatureScaler.fit(rows)
     assert scaler.std[0] > 1.0
     assert scaler.std[1] == 1.0  # floored
-
-    cfg = _toy_day()
-    params = PolicyParams(np.array([-0.8, 0.4, 0.2, 0.1]), 0.6, 1.0)
-    fitted = fit_scaler([cfg], max_laxity=2)
-    _, actions = evaluate_policy(cfg, params, fitted, 2)
-    raw_params = destandardize(params, fitted)
-    _, raw_actions = evaluate_policy(cfg, raw_params, FeatureScaler.identity(4), 2)
-    assert actions == raw_actions
 
 
 def _toy_day() -> EpisodeConfig:
