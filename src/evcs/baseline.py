@@ -23,9 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import data
 from .agg import AggSimulator, AggState, max_arrival_laxity
 from .env import EpisodeConfig
-from .policy import DivergenceError, TrainConfig, model_field
+from .policy import DivergenceError, TrainConfig
 
 N_FEATURES = 4
 EPS_START = 1.0
@@ -81,11 +82,9 @@ def _features(dear: bool, congested: bool, action: int, urgent: int, chargeable:
     )
 
 
-def qe_value(theta: Sequence[float] | QeParams, features: Sequence[float]) -> float:
+def qe_value(theta: Sequence[float], features: Sequence[float]) -> float:
     """theta . features, summed left to right from +0.0 as numpy's dot of
     two 4-element float64 vectors sums, so the two agree bit for bit."""
-    if isinstance(theta, QeParams):
-        theta = theta.theta.tolist()
     t0, t1, t2, t3 = theta
     f0, f1, f2, f3 = features
     return 0.0 + t0 * f0 + t1 * f1 + t2 * f2 + t3 * f3
@@ -121,7 +120,7 @@ def _greedy(
 
 
 def qe_greedy_action(
-    theta: Sequence[float] | QeParams,
+    theta: Sequence[float],
     state: AggState,
     urgent: int,
     chargeable: int,
@@ -129,8 +128,6 @@ def qe_greedy_action(
     congestion_count: int = 12,
 ) -> int:
     """Highest-value feasible action; ties resolve to the smallest action."""
-    if isinstance(theta, QeParams):
-        theta = theta.theta.tolist()
     return _greedy(
         theta, state.price > price_threshold, state.total > congestion_count,
         urgent, chargeable,
@@ -292,21 +289,16 @@ def qe_model_dict(
     }
 
 
-def qe_from_model(model: dict) -> tuple[QeParams, QeFeatureConfig, int]:
-    """Parse a QE model dict through `model_field`: ``theta`` is four finite
-    numbers, ``price_threshold`` a finite number or null (the default),
-    ``congestion_count`` (default 12) and ``max_laxity`` JSON integers >= 0.
-    A missing ``theta`` or ``max_laxity``, or a malformed field, raises
-    ValueError naming the field."""
-    params = QeParams(model_field(model, "theta", float, N_FEATURES))
-    threshold = model.get("price_threshold")
-    if threshold is not None:
-        threshold = model_field(model, "price_threshold", float)
-    congestion_count = 12
-    if "congestion_count" in model:
-        congestion_count = model_field(model, "congestion_count", int)
-    max_laxity = model_field(model, "max_laxity", int)
+def qe_from_model(model: dict, where: str = "model") -> tuple[QeParams, QeFeatureConfig, int]:
+    """Parse a QE model dict read from ``where`` through `data.field`:
+    ``price_threshold`` is optional, ``congestion_count`` defaults to 12 and
+    must be >= 0, as must ``max_laxity``.  A missing or malformed field
+    raises DataError naming ``where`` and the field."""
+    params = QeParams(data.field(model, "theta", float, where, length=N_FEATURES))
+    threshold = data.field(model, "price_threshold", float, where, default=None)
+    congestion_count = data.field(model, "congestion_count", int, where, default=12)
+    max_laxity = data.field(model, "max_laxity", int, where)
     for name, value in (("congestion_count", congestion_count), ("max_laxity", max_laxity)):
         if value < 0:
-            raise ValueError(f"field '{name}' must be >= 0, got {value}")
+            raise data.DataError(f"{where}: field '{name}' must be >= 0, got {value}")
     return params, QeFeatureConfig(threshold, congestion_count), max_laxity

@@ -2,6 +2,9 @@
 policy comparison, all emitting machine-parseable CSV tables.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Every flag is read through `_checked`, so a bad one is a usage error naming
+the flag; every field of a config or model file is read through
+`data.field`, so a bad one is a data error naming the file and the field.
 Setting ``EVCS_OUT_DIR`` redirects every output path into that directory.
 """
 
@@ -21,7 +24,7 @@ import numpy as np
 from . import baseline, data, policy
 from .agg import max_arrival_laxity
 from .baseline import QeFeatureConfig
-from .data import DataError, checked_number
+from .data import DataError
 from .env import EpisodeConfig
 from .policy import DivergenceError, PolicyParams, TrainConfig
 
@@ -66,42 +69,15 @@ def config_hash(document: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def _require(document: dict, field: str, context: str, default=None):
-    """Field ``field`` of ``document``, or ``default`` if it is absent and
-    ``default`` is not None."""
-    if not isinstance(document, dict):
-        raise DataError(f"{context}: expected an object, got {document!r}")
-    if field in document:
-        return document[field]
-    if default is None:
-        raise DataError(f"{context}: missing field '{field}'")
-    return default
-
-
-def _field(document: dict, name: str, context: str, kind: type, default=None):
-    """Field ``name`` of ``document`` (or ``default``) through `checked_number`."""
-    value = _require(document, name, context, default)
-    return checked_number(value, kind, f"{context}: field '{name}'")
-
-
-def _numbers(document: dict, name: str, context: str, kind: type, length: int | None = None):
-    """A list field of numbers through `checked_number`, of ``length`` entries if given."""
-    values = _require(document, name, context)
-    if not isinstance(values, list) or length not in (None, len(values)):
-        shape = "a list" if length is None else f"a list of {length}"
-        raise DataError(f"{context}: field '{name}' must be {shape}, got {values!r}")
-    return tuple(checked_number(v, kind, f"{context}: field '{name}'") for v in values)
-
-
 def parse_experiment(document: dict, source: str = "config") -> dict:
-    """Validate a generation config, raising DataError naming ``source`` and
-    the failing field.  Slots last 15 minutes, as `load_days` reads them, so
-    a ``slots_per_hour`` other than 4 is rejected."""
+    """Read a generation config through `data.field`; DataError names ``source``
+    and the failing field.  Slots last 15 minutes, as `load_days` reads
+    them, so a ``slots_per_hour`` other than 4 is rejected."""
     out = {
-        "days": _field(document, "days", source, int),
-        "horizon": _field(document, "horizon", source, int),
-        "slots_per_hour": _field(document, "slots_per_hour", source, int, 4),
-        "max_laxity": _field(document, "max_laxity", source, int, 12),
+        "days": data.field(document, "days", int, source),
+        "horizon": data.field(document, "horizon", int, source),
+        "slots_per_hour": data.field(document, "slots_per_hour", int, source, 4),
+        "max_laxity": data.field(document, "max_laxity", int, source, 12),
     }
     if out["days"] < 0:
         raise DataError(f"{source}: field 'days' must be >= 0")
@@ -111,31 +87,29 @@ def parse_experiment(document: dict, source: str = "config") -> dict:
         raise DataError(f"{source}: field 'horizon' must be a positive multiple of slots_per_hour")
     if out["max_laxity"] < 0:
         raise DataError(f"{source}: field 'max_laxity' must be >= 0")
-    price = _require(document, "price", source, {})
+    price = data.field(document, "price", dict, source, {})
     out["price"] = {
-        name: _field(price, name, f"{source}: price", float, default)
+        name: data.field(price, name, float, f"{source}: price", default)
         for name, default in (
             ("base", 12.0), ("morning_peak", 6.0), ("evening_peak", 18.0), ("noise", 1.5)
         )
     }
-    profiles = _require(document, "profiles", source)
-    if not isinstance(profiles, list):
-        raise DataError(f"{source}: field 'profiles' must be a list, got {profiles!r}")
     out["profiles"] = tuple(
-        _parse_profile(entry, f"{source}: profiles[{i}]") for i, entry in enumerate(profiles)
+        _parse_profile(entry, f"{source}: profiles[{i}]")
+        for i, entry in enumerate(data.field(document, "profiles", list, source))
     )
     return out
 
 
 def _parse_profile(entry: dict, context: str) -> data.CategoryProfile:
-    name = _require(entry, "category", context)
+    name = data.field(entry, "category", str, context)
     try:
         category = data.Category(name)
-    except (TypeError, ValueError):
+    except ValueError:
         raise DataError(f"{context}: unknown category {name!r}") from None
-    rates = _numbers(entry, "hourly_rates", context, float, 24)
-    demand = _numbers(entry, "demand", context, int, 3)
-    parking = _numbers(entry, "parking", context, int, 3)
+    rates = data.field(entry, "hourly_rates", float, context, length=24)
+    demand = data.field(entry, "demand", int, context, length=3)
+    parking = data.field(entry, "parking", int, context, length=3)
     try:
         return data.CategoryProfile(category, rates, demand, parking)
     except DataError as exc:
@@ -158,9 +132,8 @@ def load_days(data_dir: str | Path) -> list[tuple[str, EpisodeConfig]]:
         slot_prices = data.load_prices(prices_path)
         horizon = len(slot_prices)
         events = data.load_arrivals(arrivals_path, horizon)
-        days.append(
-            (stem, EpisodeConfig(horizon, data.episode_prices(slot_prices, horizon), tuple(events)))
-        )
+        prices = slot_prices + slot_prices[-1:]  # the terminal state's price repeats the last
+        days.append((stem, EpisodeConfig(horizon, prices, tuple(events))))
     if not days:
         raise DataError(f"{directory}: no day files (*_arrivals.csv) found")
     return days
@@ -184,12 +157,16 @@ def _out_path(raw: str | Path) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(str(cell) for cell in row) + "\n")
+def _write_csv(path: Path | None, header: Sequence, rows: Sequence, echo: bool = False) -> None:
+    """Write a CSV table to ``path`` (None: to no file); ``echo`` first prints
+    the same text, so stdout and the file agree byte for byte."""
+    text = "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+    if echo:
+        print(text, end="")
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="") as handle:
+            handle.write(text)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -240,8 +217,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     configs = [config for _, config in days]
     max_laxity = max([1, *map(max_arrival_laxity, configs)])
     level_cap = args.lmax
-    if level_cap is not None and level_cap < 1:
-        raise UsageError("--lmax must be >= 1")
 
     settings = {
         "algo": args.algo,
@@ -311,11 +286,13 @@ def _load_evaluator(path: str) -> Callable[[EpisodeConfig], tuple[float, tuple[i
     }
     try:
         model = policy.load_model(path)
-        algo = model["algo"]
-        if not isinstance(algo, str) or algo not in kinds:
+        algo = data.field(model, "algo", str, path)
+        if algo not in kinds:
             raise ValueError(f"unknown model algo {algo!r}")
         parse, evaluate = kinds[algo]
-        fields = parse(model)
+        fields = parse(model, path)
+    except DataError:
+        raise  # it names the file already
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -338,10 +315,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         rows.append([stem, repr(float(reward))])
         rewards.append(reward)
     rows.append(["average", repr(float(np.mean(rewards)))])
-    lines = ["day,reward"] + [",".join(map(str, row)) for row in rows]
-    print("\n".join(lines))
-    if args.out:
-        _write_csv(_out_path(args.out), ["day", "reward"], rows)
+    _write_csv(_out_path(args.out) if args.out else None, ["day", "reward"], rows, echo=True)
     return EXIT_OK
 
 
@@ -376,11 +350,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         ["average", repr(mean_a), repr(mean_b), f"{percent_improvement(mean_a, mean_b):.2f}"]
     )
     header = ["day", "reward_a", "reward_b", "improvement_pct"]
-    print(",".join(header))
-    for row in rows:
-        print(",".join(map(str, row)))
-    if out_dir is not None:
-        _write_csv(out_dir / "compare.csv", header, rows)
+    _write_csv(None if out_dir is None else out_dir / "compare.csv", header, rows, echo=True)
     return EXIT_OK
 
 
@@ -423,7 +393,7 @@ def build_parser() -> _Parser:
     train.add_argument("--step-decay", type=decay, default=0.995)
     train.add_argument("--batch", type=_checked(int, lambda v: v >= 0, ">= 0"), default=0,
                        help="days per update (0 = all)")
-    train.add_argument("--lmax", type=int, default=None,
+    train.add_argument("--lmax", type=_checked(int, lambda v: v >= 1, ">= 1"), default=None,
                        help="pool laxity levels >= this cap in the policy state")
     train.add_argument("--seed", type=seed, default=0)
     train.add_argument("--out", required=True, help="model file to write")

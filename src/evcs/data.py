@@ -1,4 +1,5 @@
-"""Price/arrival file IO and synthetic-day generation.
+"""Input files: price/arrival IO, synthetic-day generation, and `field`, the
+one reader of every field of a JSON experiment config or model file.
 
 File formats (delimited text with headers):
   prices:   ``timestamp,price``   -- consecutive hourly rows
@@ -39,10 +40,9 @@ class DataError(ValueError):
 
 
 def checked_number(value, kind: type, where: str):
-    """``value`` as an int (``kind`` int) or a finite float (``kind`` float):
-    how experiment configs and model files read numbers.  An int takes a
-    JSON integer, a float any finite number, neither a boolean or a string;
-    anything else raises DataError naming ``where``."""
+    """``value`` as an int (``kind`` int) or a finite float (``kind`` float).
+    An int takes a JSON integer, a float any finite number, neither a
+    boolean or a string; anything else raises DataError naming ``where``."""
     allowed = int if kind is int else (int, float)
     if isinstance(value, bool) or not isinstance(value, allowed):
         wanted = "an integer" if kind is int else "a number"
@@ -53,6 +53,37 @@ def checked_number(value, kind: type, where: str):
     except OverflowError:
         pass
     raise DataError(f"{where} must be finite, got {value!r}")
+
+
+_REQUIRED = object()
+_KIND_NAMES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def field(document, name: str, kind: type, where: str, default=_REQUIRED, length=None):
+    """Field ``name`` of the JSON object ``document`` as ``kind``; DataError
+    names ``where`` and the field.  An absent field takes ``default`` (and
+    is an error without one); a null reads as absent only where ``default``
+    is None.  Numbers (``kind`` int or float) go through `checked_number`,
+    str, list and dict values need only their type; with ``length`` the
+    field is a list of that many numbers, returned as a tuple."""
+    if not isinstance(document, dict):
+        raise DataError(f"{where}: expected an object, got {document!r}")
+    value = document.get(name)
+    if name not in document or (value is None and default is None):
+        if default is _REQUIRED:
+            raise DataError(f"{where}: missing field '{name}'")
+        return default
+    label = f"{where}: field '{name}'"
+    if length is not None:
+        if not isinstance(value, list) or len(value) != length:
+            size = f"{len(value)} entries" if isinstance(value, list) else repr(value)
+            raise DataError(f"{label} must be a list of {length}, got {size}")
+        return tuple(checked_number(v, kind, label) for v in value)
+    if kind in _KIND_NAMES:
+        if not isinstance(value, kind):
+            raise DataError(f"{label} must be {_KIND_NAMES[kind]}, got {value!r}")
+        return value
+    return checked_number(value, kind, label)
 
 
 @dataclass(frozen=True)
@@ -154,18 +185,6 @@ def load_prices(path: str | Path) -> tuple[float, ...]:
                 f"missing {expected.isoformat()}"
             )
     return tuple(price for _, price in rows for _ in range(4))
-
-
-def episode_prices(slot_prices: Sequence[float], horizon: int) -> tuple[float, ...]:
-    """Slot prices for an episode: horizon+1 values, final one padded by repeat."""
-    if len(slot_prices) < horizon:
-        raise DataError(
-            f"price series has {len(slot_prices)} slots, need at least {horizon}"
-        )
-    values = tuple(slot_prices[: horizon + 1])
-    if len(values) == horizon:
-        values = values + (values[-1],)
-    return values
 
 
 def gen_prices(

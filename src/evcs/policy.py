@@ -37,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import data
 from .agg import AggSimulator, BatchSimulator, max_arrival_laxity
-from .data import checked_number
 from .env import EpisodeConfig
 
 
@@ -321,11 +321,12 @@ def run_policy_episode(
 ) -> Trajectory:
     """Roll one day under the policy; ``rng=None`` runs the deterministic mean.
 
-    The simulator also fits arrivals of laxity above ``max_laxity``, which
-    pool into the last feature, so a model evaluates laxity it never saw.
+    The simulator is sized to the day and the feature width w, not to
+    ``max_laxity``: levels from w up pool into the last feature, so a model
+    evaluates laxity it never saw and a capped model's range costs nothing.
     """
     w = feature_dim(max_laxity, level_cap) - 2
-    sim = AggSimulator(config, max(max_laxity, max_arrival_laxity(config)))
+    sim = AggSimulator(config, max(w, max_arrival_laxity(config)))
     state = sim.reset()
     horizon = config.horizon
     features = np.empty((horizon, params.dim))
@@ -628,37 +629,23 @@ def pg_model_dict(
     }
 
 
-def model_field(model: dict, name: str, kind: type, length: int | None = None):
-    """Field ``name`` of a model dict through `checked_number`: one number,
-    or with ``length`` a vector of that many.  Raises ValueError naming the
-    field if it is missing or malformed."""
-    if name not in model:
-        raise ValueError(f"missing field '{name}'")
-    value = model[name]
-    if length is None:
-        return checked_number(value, kind, f"field '{name}'")
-    if not isinstance(value, list) or len(value) != length:
-        size = f"{len(value)} entries" if isinstance(value, list) else repr(value)
-        raise ValueError(f"field '{name}' must be a list of {length} numbers, got {size}")
-    return np.array([checked_number(v, kind, f"field '{name}'") for v in value])
-
-
-def pg_from_model(model: dict) -> tuple[PolicyParams, FeatureScaler, int, int | None]:
-    """Parse a PG model dict through `model_field`: ``max_laxity`` and
-    ``level_cap`` (optional) are JSON integers, every other number is finite,
-    and no number is a boolean or a string.  A missing field, a negative
-    ``max_laxity``, a ``level_cap`` below 1, a vector whose length is not
-    ``feature_dim(max_laxity, level_cap)``, a ``sigma`` <= 0 or a
-    ``feature_std`` entry <= 0 raises ValueError naming the field."""
-    max_laxity = model_field(model, "max_laxity", int)
-    level_cap = None if model.get("level_cap") is None else model_field(model, "level_cap", int)
+def pg_from_model(
+    model: dict, where: str = "model"
+) -> tuple[PolicyParams, FeatureScaler, int, int | None]:
+    """Parse a PG model dict read from ``where`` through `data.field`
+    (``level_cap`` is optional).  A malformed field raises DataError; a
+    negative ``max_laxity``, a ``level_cap`` below 1 or a ``sigma`` <= 0
+    raises ValueError naming the field."""
+    max_laxity = data.field(model, "max_laxity", int, where)
+    level_cap = data.field(model, "level_cap", int, where, default=None)
     dim = feature_dim(max_laxity, level_cap)
     weights, mean, std = (
-        model_field(model, name, float, dim) for name in ("weights", "feature_mean", "feature_std")
+        data.field(model, name, float, where, length=dim)
+        for name in ("weights", "feature_mean", "feature_std")
     )
-    if not np.all(std > 0):
-        raise ValueError("field 'feature_std' has entries <= 0")
-    bias, sigma = model_field(model, "bias", float), model_field(model, "sigma", float)
+    if min(std) <= 0:
+        raise data.DataError(f"{where}: field 'feature_std' has entries <= 0")
+    bias, sigma = (data.field(model, name, float, where) for name in ("bias", "sigma"))
     return PolicyParams(weights, bias, sigma), FeatureScaler(mean, std), max_laxity, level_cap
 
 

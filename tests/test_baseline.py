@@ -82,7 +82,8 @@ def test_value_equals_numpy_dot_bit_for_bit():
         for features in patterns:
             expected = _bits(np.asarray(theta) @ np.asarray(features))
             assert _bits(qe_value(tuple(theta.tolist()), features)) == expected, (theta, features)
-            assert _bits(qe_value(QeParams(theta), features)) == expected, (theta, features)
+            assert _bits(qe_value(QeParams(theta).theta.tolist(), features)) == expected, (
+                theta, features)
 
 
 def test_td_step_equals_numpy_update_bit_for_bit():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -416,6 +417,7 @@ def test_malformed_model_is_data_error_naming_file_and_field(tmp_path, capsys, a
         (["generate"], lambda d: d.update(max_laxity=-1), EXIT_DATA, ["max_laxity"]),
         (["generate"], lambda d: d.update(slots_per_hour=2, horizon=48), EXIT_DATA,
          ["slots_per_hour"]),
+        (["train", "--lmax", "0"], None, EXIT_USAGE, ["--lmax"]),
     ],
 )
 def test_bad_cli_input_exits_with_its_code_naming_the_culprit(
@@ -439,3 +441,131 @@ def test_bad_cli_input_exits_with_its_code_naming_the_culprit(
     assert main(argv) == code
     err = capsys.readouterr().err
     assert all(name in err for name in names), err
+
+
+def test_load_days_pads_prices_by_repeating_the_last_slot(tmp_path):
+    """An episode reads the price one slot past its end: `load_days` repeats
+    the last slot's price there, and keeps every slot's own price."""
+    data_dir = _one_ev_day(tmp_path)
+    (stem, config), = load_days(data_dir)
+    assert stem == "day00" and config.horizon == 8
+    assert config.prices == (5.0,) * 4 + (0.0,) * 4 + (0.0,)
+
+
+def test_eval_capped_pg_model_ignores_its_max_laxity(tmp_path, capsys):
+    """A capped PG model's state keeps levels below its cap apart and pools
+    the rest, so evaluation sizes its simulator to the cap and the day: a
+    hand-edited max_laxity of 10**9 allocates nothing and evaluates exactly
+    as the same model at its trained value."""
+    data_dir = _generate(tmp_path)
+    model_path = tmp_path / "cap.json"
+    assert main(["train", "--data", str(data_dir), "--iterations", "3", "--lmax", "2",
+                 "--out", str(model_path)]) == EXIT_OK
+    model = json.loads(model_path.read_text())
+    outputs = []
+    for max_laxity in (model["max_laxity"], 10**9):
+        model["max_laxity"] = max_laxity
+        model_path.write_text(json.dumps(model))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_path), "--data", str(data_dir)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith("day,reward\nday00,")
+    assert outputs[1] == outputs[0]
+
+
+# (file, field, edit, result): "same" means the edited file behaves exactly
+# as the unedited one, where the field holds its default
+NULL_OR_ABSENT = [
+    ("pg", "level_cap", None, "same"),
+    ("pg", "level_cap", "absent", "same"),
+    ("qe", "price_threshold", None, "same"),
+    ("qe", "price_threshold", "absent", "same"),
+    ("qe", "congestion_count", None, EXIT_DATA),
+    ("qe", "congestion_count", "absent", "same"),
+    ("pg", "bias", None, EXIT_DATA),
+    ("pg", "bias", "absent", EXIT_DATA),
+    ("config", "days", None, EXIT_DATA),
+    ("config", "days", "absent", EXIT_DATA),
+    ("config", "price", None, EXIT_DATA),
+    ("config", "price", "absent", "same"),
+]
+
+
+@pytest.mark.parametrize("source, name, edit, result", NULL_OR_ABSENT)
+def test_null_reads_as_absent_only_where_the_default_is_none(
+    tmp_path, capsys, source, name, edit, result
+):
+    """``level_cap`` and ``price_threshold`` default to None, so a null
+    there reads as the field left out; any other null is a data error
+    naming the file and the field, even where the field has a default."""
+    if source == "config":
+        document = _small_experiment()
+
+        def run(path):
+            out = tmp_path / path.stem
+            code = main(["generate", "--config", str(path), "--out", str(out)])
+            days = sorted((p.name, p.read_bytes()) for p in out.glob("day*.csv"))
+            return code, capsys.readouterr().err, days
+    else:
+        document = dict(zip(("pg", "qe"), _hand_models()))[source]
+        data_dir = _one_ev_day(tmp_path)
+
+        def run(path):
+            code = main(["eval", "--model", str(path), "--data", str(data_dir)])
+            captured = capsys.readouterr()
+            return code, captured.err, captured.out
+
+    (tmp_path / "good.json").write_text(json.dumps(document))
+    if edit == "absent":
+        del document[name]
+    else:
+        document[name] = None
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(document))
+    capsys.readouterr()
+    code, err, output = run(bad)
+    if result == "same":
+        assert (code, err, output) == run(tmp_path / "good.json")
+    else:
+        assert code == result and str(bad) in err and name in err, err
+
+
+def _literal_days(tmp_path):
+    """Two 12-slot days written out in full, so the files do not depend on
+    the day generator."""
+    data_dir = tmp_path / "literal"
+    data_dir.mkdir()
+    days = {
+        "day00": ((10.0, 25.5, 7.25),
+                  ["0,2,6,normal", "1,1,3,emergent", "2,3,9,residential", "4,2,4,normal",
+                   "5,1,7,emergent", "8,2,4,residential"]),
+        "day01": ((14.0, 6.5, 19.75),
+                  ["0,1,5,residential", "0,3,4,normal", "3,2,8,emergent", "6,1,2,normal",
+                   "7,4,5,residential", "9,1,3,normal"]),
+    }
+    for stem, (prices, arrivals) in days.items():
+        rows = ["timestamp,price"] + [f"2026-01-01T{h:02d}:00,{p}" for h, p in enumerate(prices)]
+        (data_dir / f"{stem}_prices.csv").write_text("\n".join(rows) + "\n")
+        rows = ["slot,demand,parking,category"] + arrivals
+        (data_dir / f"{stem}_arrivals.csv").write_text("\n".join(rows) + "\n")
+    return data_dir
+
+
+# sha256 of the model and curve files written by the training run below
+GOLDEN_QE_DIGESTS = [
+    "6802fdf51ada53fc5793577c90b0325cd86c5706d0db31191ae584fe03d7ae57",
+    "fddff6dab688dff2d8c4d06c914e656313cdf46f1b0c587f11eb3aec9c72a396",
+]
+
+
+def test_train_qe_golden_digests(tmp_path):
+    """QE training runs on Python floats and numpy's Generator, so a fixed
+    seed gives the same model and curve bytes on every machine, not only on
+    one.  The digests pin those bytes."""
+    model_path = tmp_path / "qe.json"
+    assert main(["train", "--data", str(_literal_days(tmp_path)), "--algo", "qe",
+                 "--iterations", "30", "--alpha", "0.05", "--seed", "5",
+                 "--out", str(model_path)]) == EXIT_OK
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (model_path, tmp_path / "qe_curve.csv")]
+    assert digests == GOLDEN_QE_DIGESTS

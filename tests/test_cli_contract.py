@@ -2,9 +2,11 @@
 or a model file holds, `main` returns an exit code in 0-3 and no exception
 escapes it.  Every input is a one-edit mutation of a tiny valid one (two
 days of eight slots, models trained for one iteration).  Mutated numbers stay
-small, so that no case asks the program for a large allocation; the one large
-token, 10**6, is a harmless price and must be rejected at load time as an
-arrival's slot, demand or parking."""
+small, so that no case asks the program for a large allocation, with two
+exceptions.  In day files, 10**6 is a harmless price and must be rejected at
+load time as an arrival's slot, demand or parking.  In models, 10**9 must
+neither allocate (as a capped model's ``max_laxity``, say) nor crash.  Config
+edits keep to small numbers, where ``days`` or ``horizon`` would allocate."""
 
 import json
 import math
@@ -32,6 +34,9 @@ JSON_VALUES = st.one_of(
 )
 # an edit: a path into the document, then a new value, or None to delete it
 EDITS = st.tuples(st.integers(0, 10**6), st.none() | st.tuples(JSON_VALUES))
+MODEL_EDITS = st.tuples(
+    st.integers(0, 10**6), st.none() | st.tuples(JSON_VALUES | st.just(10**9))
+)
 
 CONFIG_PATHS = [
     ("days",), ("horizon",), ("slots_per_hour",), ("max_laxity",), ("version",),
@@ -152,7 +157,7 @@ def test_mutated_day_files_never_crash(base, name, line, cell, op, token):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["pg", "pg_cap", "qe"]), EDITS, st.booleans())
+@given(st.sampled_from(["pg", "pg_cap", "qe"]), MODEL_EDITS, st.booleans())
 def test_mutated_model_never_crashes(base, name, edit, compare):
     days, models = base
     model = json.loads(models[name].read_text())

@@ -7,7 +7,6 @@ from evcs.data import (
     DEFAULT_PROFILES,
     CategoryProfile,
     DataError,
-    episode_prices,
     gen_day,
     gen_prices,
     load_arrivals,
@@ -62,16 +61,6 @@ def test_load_prices_bad_rows(tmp_path):
         )
     with pytest.raises(DataError, match="no price rows"):
         load_prices(_write(tmp_path / "d.csv", "timestamp,price\n"))
-
-
-def test_episode_prices_padding():
-    series = tuple(float(v) for v in range(8))
-    padded = episode_prices(series, 8)
-    assert len(padded) == 9 and padded[-1] == padded[-2] == 7.0
-    exact = episode_prices(series, 7)
-    assert exact == tuple(float(v) for v in range(8))
-    with pytest.raises(DataError):
-        episode_prices(series, 9)
 
 
 def test_profile_validation():
